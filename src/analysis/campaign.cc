@@ -69,8 +69,8 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   // surfaces here rather than mid-run.  The TSLP probe loop below is
   // analytic -- it schedules no events -- so there is nothing for LP
   // workers to execute and every resolved value produces byte-identical
-  // output (pinned by test_parallel_sim); the fleet driver uses the same
-  // resolution to divide its thread budget.
+  // output (pinned by test_parallel_sim), and the fleet gives its whole
+  // worker budget to campaigns.
   (void)sim::resolve_sim_threads(opt.sim_threads);
 
   const TimePoint start = spec.campaign_start;

@@ -10,7 +10,6 @@
 #include <ostream>
 
 #include "sim/faults.h"
-#include "sim/lp.h"
 #include "util/fault_plan.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -87,16 +86,18 @@ ShardPlan plan_shards(const std::vector<VpSpec>& specs, int jobs, const Campaign
   plan.shards.resize(shard_count);
   for (std::size_t i = 0; i < n; ++i) plan.cost[i] = estimate_campaign_cost(specs[i], opt);
 
-  // Greedy LPT: heaviest campaign onto the least-loaded shard.  All
-  // tie-breaks are by index, so the plan is a pure function of its inputs.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  // Heaviest first, ties by index, so the plan is a pure function of its
+  // inputs.  The shards replay greedy list scheduling of that order on the
+  // estimates: each campaign goes to the worker that frees up first, which
+  // is what the fleet's shared queue does with real run times.
+  plan.order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) plan.order[i] = i;
+  std::sort(plan.order.begin(), plan.order.end(), [&](std::size_t a, std::size_t b) {
     if (plan.cost[a] != plan.cost[b]) return plan.cost[a] > plan.cost[b];
     return a < b;
   });
   std::vector<double> load(shard_count, 0.0);
-  for (const std::size_t idx : order) {
+  for (const std::size_t idx : plan.order) {
     std::size_t best = 0;
     for (std::size_t s = 1; s < shard_count; ++s) {
       if (load[s] < load[best]) best = s;
@@ -132,13 +133,9 @@ FleetResult run_fleet(const std::vector<VpSpec>& specs, const FleetOptions& opt)
     out.metrics[i].vp_name = specs[i].vp_name;
     out.metrics[i].vp_index = i;
   }
-  // Fleet-level and intra-sim parallelism share one thread budget: a fleet
-  // asked for --jobs 16 with --sim-threads 4 runs 4 campaign workers, each
-  // entitled to 4 LP workers.  Integer division, floored at 1, so an
-  // over-subscribed sim-threads value degrades to a serial fleet rather
-  // than oversubscribing the host.
-  out.jobs_used = std::max(1, ThreadPool::resolve_jobs(opt.jobs, specs.size()) /
-                                  sim::resolve_sim_threads(opt.campaign.sim_threads));
+  // Campaigns never run LP workers (see run_campaign), so the whole budget
+  // goes to fleet workers whatever --sim-threads says.
+  out.jobs_used = ThreadPool::resolve_jobs(opt.jobs, specs.size());
 
   const auto fleet_t0 = WallClock::now();
   std::mutex progress_mu;
@@ -190,22 +187,22 @@ FleetResult run_fleet(const std::vector<VpSpec>& specs, const FleetOptions& opt)
     emit(m);
   };
 
-  // Pack campaigns onto shards by estimated cost (heaviest first), then
-  // run one shard per worker.  Results are keyed by spec index and the
-  // registry merge below is in spec order, so the packing affects only
-  // wall clock, never output bytes.
+  // Hand campaigns out heaviest first from the pool's one queue: a worker
+  // that finishes early takes the next campaign instead of idling behind a
+  // fixed shard whose estimate was off.  Results are keyed by spec index
+  // and the registry merge below is in spec order, so the dispatch order
+  // affects only wall clock, never output bytes.
   out.plan = plan_shards(specs, out.jobs_used, opt.campaign);
   std::vector<std::exception_ptr> errors(specs.size());
   ThreadPool pool(out.jobs_used);
-  pool.parallel_for(out.plan.shards.size(), [&](std::size_t s) {
-    for (const std::size_t i : out.plan.shards[s]) {
-      try {
-        run_one(i);
-      } catch (...) {
-        // A failed campaign must not abort its shard siblings; the first
-        // (lowest spec index) exception is rethrown after the drain.
-        errors[i] = std::current_exception();
-      }
+  pool.parallel_for(out.plan.order.size(), [&](std::size_t k) {
+    const std::size_t i = out.plan.order[k];
+    try {
+      run_one(i);
+    } catch (...) {
+      // The pool would report the lowest *dispatch* position; the fleet
+      // contract is the lowest spec index, rethrown after the drain.
+      errors[i] = std::current_exception();
     }
   });
   for (const std::exception_ptr& e : errors) {
@@ -277,8 +274,14 @@ void print_fleet_metrics(std::ostream& out, const FleetResult& fleet) {
                      static_cast<unsigned long long>(m.stale_relearns() + m.loss_relearns()),
                      m.wall_seconds, m.peak_rss_kb / 1024);
   }
-  out << strformat("fleet: %d job%s, %.1fs wall\n", fleet.jobs_used,
-                   fleet.jobs_used == 1 ? "" : "s", fleet.wall_seconds);
+  // Busy share: how much of the workers' wall went to campaigns; the rest
+  // is packing loss (workers idle while the last campaigns finish).
+  double busy = 0.0;
+  for (const auto& m : fleet.metrics) busy += m.wall_seconds;
+  const double capacity = fleet.jobs_used * fleet.wall_seconds;
+  out << strformat("fleet: %d job%s, %.1fs wall, %.0f%% busy\n", fleet.jobs_used,
+                   fleet.jobs_used == 1 ? "" : "s", fleet.wall_seconds,
+                   capacity > 0 ? 100.0 * busy / capacity : 0.0);
 }
 
 }  // namespace ixp::analysis

@@ -73,21 +73,27 @@ struct CampaignMetrics {
 /// on whichever worker thread made the progress.
 using FleetProgressFn = std::function<void(const CampaignMetrics&)>;
 
-/// Cost-model-driven assignment of campaigns to workers.
+/// Cost-model-driven dispatch order of campaigns, plus the packing it
+/// predicts.
 ///
 /// Campaign runtimes differ by orders of magnitude once the substrate is
 /// generated (a 3-member country IXP vs. a 300-member heavy hitter), so
-/// the fleet no longer hands out campaigns one-by-one: it estimates each
-/// campaign's cost up front (monitored links x probing rounds, from the
-/// spec alone -- nothing is simulated) and packs them onto workers with a
-/// greedy longest-processing-time pass.  The plan is a pure function of
-/// (specs, jobs, campaign options): stable across machines and runs, so
-/// fleet output stays byte-identical for any --jobs (pinned by
-/// tests/test_fleet.cc).
+/// the fleet estimates each campaign's cost up front (monitored links x
+/// probing rounds, from the spec alone -- nothing is simulated) and hands
+/// campaigns out heaviest first from one shared queue: each worker takes
+/// the next campaign in `order` as soon as it is free.  `shards` is the
+/// packing that dispatch would produce if every estimate were exact
+/// (greedy list scheduling of `order`, i.e. LPT); it is a prediction for
+/// `afixp gen --shard-plan` and for static packers, not what the fleet
+/// runs.  The plan is a pure function of (specs, jobs, campaign options),
+/// and results are merged by spec index, so fleet output stays
+/// byte-identical for any --jobs (pinned by tests/test_fleet.cc).
 struct ShardPlan {
   std::vector<double> cost;                      ///< per spec, link-rounds
-  std::vector<std::vector<std::size_t>> shards;  ///< shard -> spec indices, run order
-  std::vector<int> shard_of;                     ///< spec index -> shard
+  /// Dispatch order: spec indices by descending cost, ties by index.
+  std::vector<std::size_t> order;
+  std::vector<std::vector<std::size_t>> shards;  ///< predicted shard -> spec indices, run order
+  std::vector<int> shard_of;                     ///< spec index -> predicted shard
   /// Human-readable plan (for `afixp gen --shard-plan`).
   [[nodiscard]] std::string to_string(const std::vector<VpSpec>& specs) const;
 };
@@ -99,8 +105,9 @@ struct ShardPlan {
 /// charge.
 double estimate_campaign_cost(const VpSpec& spec, const CampaignOptions& opt);
 
-/// Packs `specs` onto `jobs` shards, heaviest first (greedy LPT with
-/// deterministic tie-breaks).  `jobs` is clamped to [1, specs.size()].
+/// Orders `specs` heaviest first and predicts their packing onto `jobs`
+/// workers (greedy LPT with deterministic tie-breaks).  `jobs` is clamped
+/// to [1, specs.size()].
 ShardPlan plan_shards(const std::vector<VpSpec>& specs, int jobs, const CampaignOptions& opt);
 
 struct FleetOptions {
@@ -129,7 +136,7 @@ struct FleetResult {
   /// unlabelled fleet totals -- so the merged contents (and any
   /// `--metrics-out` export of them) are byte-identical for any --jobs.
   obs::Registry registry;
-  ShardPlan plan;                         ///< how campaigns were packed
+  ShardPlan plan;                         ///< dispatch order + predicted packing
   int jobs_used = 1;
   double wall_seconds = 0.0;              ///< whole-fleet wall clock
 };
@@ -162,7 +169,9 @@ class FleetStatusPrinter {
 };
 
 /// Prints the per-campaign metrics table (rounds, probes, probes/s,
-/// bdrmap runs, links, wall, peak RSS) after a fleet run.
+/// bdrmap runs, links, wall, peak RSS) after a fleet run, then a `fleet:`
+/// line with the job count, the fleet wall and the busy share (summed
+/// campaign wall / (jobs x fleet wall); the rest is packing loss).
 void print_fleet_metrics(std::ostream& out, const FleetResult& fleet);
 
 }  // namespace ixp::analysis

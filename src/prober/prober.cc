@@ -48,7 +48,8 @@ void Prober::rate_limit() {
   next_slot_ += seconds(1.0 / pps_limit_);
 }
 
-ProbeOutcome Prober::probe(net::Ipv4Address dst, const ProbeOptions& opts) {
+ProbeOutcome Prober::probe(net::Ipv4Address dst, const ProbeOptions& opts,
+                           sim::Network::WalkPin* pin) {
   rate_limit();
   net::Packet pkt;
   pkt.src = src_;
@@ -62,7 +63,7 @@ ProbeOutcome Prober::probe(net::Ipv4Address dst, const ProbeOptions& opts) {
   ++probes_sent_;
   if (opts.event_mode) return probe_event(pkt, opts);
 
-  sim::ProbeResult r = net_->probe(host_, pkt);
+  sim::ProbeResult r = pin != nullptr ? net_->probe(host_, pkt, *pin) : net_->probe(host_, pkt);
   ProbeOutcome out;
   out.answered = r.answered;
   out.responder = r.responder;

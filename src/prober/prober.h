@@ -55,8 +55,13 @@ class Prober {
   /// in simulated time (0 disables).
   Prober(sim::Network& net, sim::NodeId vp_host, double pps_limit = 100.0);
 
-  /// Single probe toward `dst`.
-  ProbeOutcome probe(net::Ipv4Address dst, const ProbeOptions& opts = {});
+  /// Single probe toward `dst`.  A fast-path probe sent through `pin`
+  /// skips the walk-cache lookup while routes hold (see
+  /// sim::Network::WalkPin); the caller keeps one pin per (dst, ttl,
+  /// record-route) and resets it when any of them changes.  Event-mode
+  /// probes ignore the pin.
+  ProbeOutcome probe(net::Ipv4Address dst, const ProbeOptions& opts = {},
+                     sim::Network::WalkPin* pin = nullptr);
 
   /// Classic traceroute: increasing TTL until `dst` answers, max_ttl is
   /// reached, or `stop_after_silent` consecutive hops stay dark (scamper's

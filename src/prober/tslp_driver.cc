@@ -16,6 +16,11 @@ struct TargetState {
   /// change at connect(), which bumps it).
   sim::NodeId near_owner = sim::kInvalidNode;
   int far_ttl = 0;          ///< hop distance of the far address; 0 = unknown
+  /// The far and near probes' walks (TTL far_ttl and far_ttl - 1 toward
+  /// far_ip), reused every round while routes hold.  Keyed by far_ttl, so
+  /// a relearn drops them.
+  sim::Network::WalkPin far_pin;
+  sim::Network::WalkPin near_pin;
   int consecutive_losses = 0;
   /// Consecutive *answered* near probes whose responder belongs to the
   /// wrong router: the path under the monitor changed length, so the
@@ -60,6 +65,8 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
   auto relearn = [this](TargetState& s) {
     s.consecutive_losses = 0;
     s.near_mismatches = 0;
+    s.far_pin.reset();
+    s.near_pin.reset();
     if (const auto d = prober_->hop_distance(s.target.far_ip, cfg_.max_ttl)) {
       s.far_ttl = *d;
     } else {
@@ -110,7 +117,7 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
           ProbeOptions fo;
           fo.ttl = static_cast<std::uint8_t>(s.far_ttl);
           fo.event_mode = cfg_.event_mode;
-          const ProbeOutcome far = prober_->probe(s.target.far_ip, fo);
+          const ProbeOutcome far = prober_->probe(s.target.far_ip, fo, &s.far_pin);
           if (!far.answered) ++probes_lost_;
           if (far.answered) {
             // A response from a different address means the path moved and
@@ -130,7 +137,7 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
           ProbeOptions no;
           no.ttl = static_cast<std::uint8_t>(s.far_ttl - 1);
           no.event_mode = cfg_.event_mode;
-          const ProbeOutcome near = prober_->probe(s.target.far_ip, no);
+          const ProbeOutcome near = prober_->probe(s.target.far_ip, no, &s.near_pin);
           if (!near.answered) ++probes_lost_;
           if (near.answered) {
             near_answered = true;

@@ -263,8 +263,19 @@ Network::ResolvedWalk Network::resolve_walk(NodeId from, const net::Packet& pkt)
 }
 
 ProbeResult Network::probe(NodeId from, const net::Packet& pkt) {
+  return execute(resolved_walk(from, pkt), pkt);
+}
+
+ProbeResult Network::probe(NodeId from, const net::Packet& pkt, WalkPin& pin) {
+  if (pin.walk_ == nullptr || pin.epoch_ != route_epoch_) {
+    pin.walk_ = &resolved_walk(from, pkt);
+    pin.epoch_ = route_epoch_;
+  }
+  return execute(*pin.walk_, pkt);
+}
+
+ProbeResult Network::execute(const ResolvedWalk& w, const net::Packet& pkt) {
   constexpr std::uint32_t kReplyBytes = 56;  // IP + ICMP + quoted header
-  const ResolvedWalk& w = resolved_walk(from, pkt);
   ProbeResult res;
   const TimePoint sent = active_sim().now();
   TimePoint t = sent;

@@ -9,7 +9,9 @@
 //    itself (which links, which responder, which RR stamps) depends only on
 //    routing state, so it is resolved once per (origin, source, destination,
 //    TTL, record-route) and cached until the route epoch moves; each probe
-//    then only executes the crossings.  Year-long TSLP campaigns use this;
+//    then only executes the crossings.  Callers that send the same probe
+//    every round (the TSLP driver) hold a WalkPin and skip even the cache
+//    lookup while the epoch holds.  Year-long TSLP campaigns use this;
 //    integration tests pin its equivalence to event mode.
 #pragma once
 
@@ -80,6 +82,8 @@ struct ProbeResult {
 };
 
 class Network {
+  struct ResolvedWalk;  // the walk cache's entries, defined below
+
  public:
   Network() = default;
   Network(const Network&) = delete;
@@ -176,6 +180,28 @@ class Network {
   /// are read.
   ProbeResult probe(NodeId from, const net::Packet& pkt);
 
+  /// A caller-held handle on one cached walk: a pointer into the walk
+  /// cache plus the route epoch it was taken at.  Cache entries stay put
+  /// until the epoch moves, and the epoch never returns to an old value,
+  /// so a pin whose epoch is current points at a live, up-to-date walk.
+  /// A pin belongs to one Network and one (origin, src, dst, ttl,
+  /// record-route) key: reset() it before probing with any of those
+  /// changed.
+  class WalkPin {
+   public:
+    void reset() { walk_ = nullptr; }
+
+   private:
+    friend class Network;
+    const ResolvedWalk* walk_ = nullptr;
+    std::uint64_t epoch_ = 0;
+  };
+
+  /// probe() through `pin`: reuses the pinned walk while the route epoch
+  /// is the one it was taken at, else resolves (through the cache) and
+  /// re-pins.  Results are identical to probe(from, pkt).
+  ProbeResult probe(NodeId from, const net::Packet& pkt, WalkPin& pin);
+
   // ---- Statistics -----------------------------------------------------------
 
   std::uint64_t packets_forwarded = 0;
@@ -242,7 +268,7 @@ class Network {
   /// crossings, who answers and how, the reverse crossings and the RR
   /// stamps.  Everything that can change between rounds -- link up/down,
   /// queues, delay steps, forwarding delays, ICMP silence, rate limits and
-  /// generation delay -- is left to the executor in probe().
+  /// generation delay -- is left to execute().
   struct ResolvedWalk {
     /// The probe's crossings, then the reply's (from reverse_begin on).
     std::vector<WalkStep> steps;
@@ -275,6 +301,9 @@ class Network {
   /// and drops the whole cache when the route epoch has moved.
   const ResolvedWalk& resolved_walk(NodeId from, const net::Packet& pkt);
   ResolvedWalk resolve_walk(NodeId from, const net::Packet& pkt);
+  /// The per-probe work both probe() entry points share: crossings, ICMP
+  /// admission and generation, in walk order.
+  ProbeResult execute(const ResolvedWalk& w, const net::Packet& pkt);
 
   /// Node-side route epoch counter; nodes bump it through the pointer
   /// add_node() hands them.

@@ -293,6 +293,53 @@ TEST(Fleet, ShardPlanBalancesByEstimatedCost) {
   EXPECT_LT(c_half, c_full);
 }
 
+TEST(Fleet, PlanOrderIsCostDescendingWithIndexTieBreaks) {
+  // Every spec twice: each cost appears at two indices, so the tie-break
+  // is exercised on every pair.
+  auto specs = make_all_vps();
+  const std::size_t n = specs.size();
+  for (std::size_t i = 0; i < n; ++i) specs.push_back(specs[i]);
+  CampaignOptions copt;
+  copt.round_interval = kMinute * 30;
+  const auto plan = plan_shards(specs, 3, copt);
+  ASSERT_EQ(plan.order.size(), specs.size());
+  std::vector<std::size_t> sorted = plan.order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) ASSERT_EQ(sorted[i], i);  // a permutation
+  int ties = 0;
+  for (std::size_t k = 1; k < plan.order.size(); ++k) {
+    const std::size_t a = plan.order[k - 1];
+    const std::size_t b = plan.order[k];
+    EXPECT_GE(plan.cost[a], plan.cost[b]) << "position " << k;
+    if (plan.cost[a] == plan.cost[b]) {
+      ++ties;
+      EXPECT_LT(a, b) << "position " << k;
+    }
+  }
+  EXPECT_GE(ties, static_cast<int>(n));
+}
+
+TEST(Fleet, SerialFleetFinishesCampaignsInPlanOrder) {
+  // One worker takes the campaigns from the shared queue one at a time,
+  // so the finished events arrive exactly in dispatch order.
+  const auto specs = make_all_vps();
+  FleetOptions fopt;
+  fopt.campaign.round_interval = kMinute * 60;
+  fopt.campaign.duration_override = kDay * 2;
+  fopt.jobs = 1;
+  std::vector<std::size_t> finished;
+  fopt.on_progress = [&](const CampaignMetrics& m) {
+    if (m.finished) finished.push_back(m.vp_index);
+  };
+  const auto fleet = run_fleet(specs, fopt);
+  ASSERT_EQ(fleet.plan.order.size(), specs.size());
+  EXPECT_EQ(finished, fleet.plan.order);
+  // The order is not simply spec order on this fleet, so the check bites.
+  std::vector<std::size_t> spec_order(specs.size());
+  std::iota(spec_order.begin(), spec_order.end(), 0);
+  EXPECT_NE(fleet.plan.order, spec_order);
+}
+
 TEST(Fleet, GeneratedSubstrateByteIdenticalAcrossJobCounts) {
   // The continent-scale path: a generated substrate run with the columnar
   // store engaged must produce bit-identical decoded series for any job
@@ -305,13 +352,16 @@ TEST(Fleet, GeneratedSubstrateByteIdenticalAcrossJobCounts) {
 
   std::string want;
   std::size_t want_shards = 0;
-  for (const int jobs : {1, 3}) {
+  for (const int jobs : {1, 2, 3, 7}) {
     FleetOptions fopt;
     fopt.campaign.round_interval = kMinute * 30;
     fopt.campaign.columnar = true;
     fopt.jobs = jobs;
     const auto fleet = run_fleet(vps, fopt);
-    EXPECT_EQ(fleet.plan.shards.size(), static_cast<std::size_t>(jobs));
+    // More jobs than campaigns clamp to one worker per campaign.
+    const auto width = std::min(static_cast<std::size_t>(jobs), vps.size());
+    EXPECT_EQ(fleet.jobs_used, static_cast<int>(width));
+    EXPECT_EQ(fleet.plan.shards.size(), width);
 
     std::ostringstream rendered;
     for (const auto& r : fleet.results) {

@@ -313,7 +313,9 @@ TEST(Campaign, ByteIdenticalAcrossSimThreadsWithFaultPlan) {
   EXPECT_EQ(run_once(8), want) << "sim-threads=8";
 }
 
-TEST(Fleet, DividesJobsBudgetBySimThreads) {
+TEST(Fleet, JobsUsedIgnoresSimThreads) {
+  // Campaigns run no LP workers, so --sim-threads must not shrink the
+  // fleet's worker budget.
   const auto specs = make_all_vps();
   FleetOptions fopt;
   fopt.campaign.round_interval = kMinute * 60;
@@ -321,16 +323,14 @@ TEST(Fleet, DividesJobsBudgetBySimThreads) {
   fopt.jobs = 6;
   fopt.campaign.sim_threads = 3;
   const auto fleet = run_fleet(specs, fopt);
-  EXPECT_EQ(fleet.jobs_used, 2);  // 6 fleet jobs / 3 LP workers each
+  EXPECT_EQ(fleet.jobs_used, 6);
   ASSERT_EQ(fleet.results.size(), specs.size());
   for (const auto& r : fleet.results) EXPECT_GT(r.probes_sent, 0u);
 
-  // Over-subscribed sim-threads degrade to a serial fleet, never to zero.
   FleetOptions tight = fopt;
   tight.jobs = 2;
   tight.campaign.sim_threads = 8;
-  const auto serial_fleet = run_fleet(specs, tight);
-  EXPECT_EQ(serial_fleet.jobs_used, 1);
+  EXPECT_EQ(run_fleet(specs, tight).jobs_used, 2);
 }
 
 }  // namespace

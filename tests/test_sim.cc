@@ -7,6 +7,7 @@
 #include <functional>
 #include <string>
 
+#include "prober/tslp_driver.h"
 #include "sim/network.h"
 #include "sim/queue.h"
 #include "sim/traffic.h"
@@ -1201,27 +1202,45 @@ struct WalkNet {
 };
 
 TEST(Network, ResolvedWalksFollowEveryRouteEpochBump) {
-  WalkNet fast;  // analytic walks
-  WalkNet slow;  // scheduled packets
+  WalkNet fast;    // analytic walks
+  WalkNet slow;    // scheduled packets
+  WalkNet pinned;  // analytic walks through pins kept across phases
   std::uint16_t seq = 1;
   TimePoint at(kSecond);
   int answered = 0;
   int compared = 0;
-  // Probes both twins at the same instant with plain and record-route
+  const std::pair<std::uint8_t, bool> kinds[] = {{1, false}, {2, false}, {3, false},
+                                                 {64, false}, {2, true}, {64, true}};
+  // One pin per probe kind, never reset: each phase's first probe of a
+  // kind goes through the pin the previous phase took.
+  Network::WalkPin pins[std::size(kinds)];
+  // Probes the three twins at the same instant with plain and record-route
   // probes at every TTL that matters, and demands identical results.
   const auto probe_round = [&](const char* phase) {
-    const std::pair<std::uint8_t, bool> kinds[] = {{1, false}, {2, false}, {3, false},
-                                                   {64, false}, {2, true}, {64, true}};
     for (int rep = 0; rep < 2; ++rep) {  // the repeat runs on a warm cache
-      for (const auto& [ttl, rr] : kinds) {
+      for (std::size_t k = 0; k < std::size(kinds); ++k) {
+        const auto [ttl, rr] = kinds[k];
         at += kSecond;
         fast.net.simulator().advance_to(at);
         slow.net.simulator().advance_to(at);
+        pinned.net.simulator().advance_to(at);
         const ProbeResult got = fast.net.probe(fast.vp, fast.packet(ttl, rr, seq));
         const ProbeResult want = slow.probe_event(slow.packet(ttl, rr, seq));
+        const ProbeResult via_pin =
+            pinned.net.probe(pinned.vp, pinned.packet(ttl, rr, seq), pins[k]);
         ++seq;
         ++compared;
-        SCOPED_TRACE(testing::Message() << phase << " ttl=" << int(ttl) << " rr=" << rr);
+        SCOPED_TRACE(testing::Message() << phase << " ttl=" << int(ttl) << " rr=" << rr
+                                        << " rep=" << rep);
+        // Pinned and pin-free analytic probes agree on every field.
+        EXPECT_EQ(via_pin.answered, got.answered);
+        EXPECT_EQ(via_pin.forward_dropped, got.forward_dropped);
+        EXPECT_EQ(via_pin.reverse_dropped, got.reverse_dropped);
+        EXPECT_EQ(via_pin.responder, got.responder);
+        EXPECT_EQ(via_pin.reply_type, got.reply_type);
+        EXPECT_EQ(via_pin.rtt.count(), got.rtt.count());
+        EXPECT_EQ(via_pin.ip_id, got.ip_id);
+        EXPECT_EQ(via_pin.record_route, got.record_route);
         ASSERT_EQ(got.answered, want.answered);
         if (!got.answered) continue;
         ++answered;
@@ -1239,6 +1258,7 @@ TEST(Network, ResolvedWalksFollowEveryRouteEpochBump) {
     const std::uint64_t before = fast.net.route_epoch();
     f(fast);
     f(slow);
+    f(pinned);
     if (bumps) {
       EXPECT_GT(fast.net.route_epoch(), before);
     } else {
@@ -1278,6 +1298,79 @@ TEST(Network, ResolvedWalksFollowEveryRouteEpochBump) {
   // Probes that die on a routing drop (the forgotten fabric port) still
   // crossed, and booked their bytes on, every link before it.
   EXPECT_EQ(fast.net.hops_walked, slow.net.hops_walked);
+  EXPECT_EQ(pinned.net.hops_walked, fast.net.hops_walked);
+}
+
+TEST(TslpDriver, RelearnDropsPinsWhenRerouteMovesFarTtl) {
+  // Monitors the a--b fabric link (near a_fab, far b_fab: far_ttl 2).
+  // Mid-segment, a detours b_fab through c, which puts b at hop 3: the
+  // far probe expires at c, the driver relearns far_ttl = 3, and from the
+  // next round on its far probe must walk the new TTL, not the pinned walk
+  // of the old one.
+  constexpr int kRounds = 12;
+  constexpr int kReroute = 4;
+  struct Run {
+    std::vector<tslp::LinkSeries> series;
+    std::uint64_t stale_relearns = 0;
+    std::uint64_t loss_relearns = 0;
+    std::uint64_t probes_lost = 0;
+  };
+  const auto run = [&](bool event_mode) {
+    WalkNet w;
+    w.c->add_route(w.peering, {0, {}});
+    prober::Prober prober(w.net, w.vp, 0.0);
+    prober::TslpConfig cfg;
+    cfg.event_mode = event_mode;
+    const TimePoint start(kMinute);
+    cfg.pre_round = [&](TimePoint t) {
+      if (t == start + cfg.round_interval * kReroute) {
+        w.a->add_route(net::Ipv4Prefix(w.b_fab, 32), {1, w.c_fab});
+      }
+    };
+    prober::TslpDriver driver(prober, cfg);
+    const prober::MonitorTarget target{"a-b", w.a_fab, w.b_fab, 1, 2, true};
+    Run out;
+    out.series = driver.run({target}, start, start + cfg.round_interval * kRounds);
+    out.stale_relearns = driver.stale_relearns();
+    out.loss_relearns = driver.loss_relearns();
+    out.probes_lost = driver.probes_lost();
+    return out;
+  };
+
+  const Run fast_run = run(false);
+  const auto& fast = fast_run.series;
+  ASSERT_EQ(fast.size(), 1u);
+  const auto& far = fast[0].far_rtt.ms;
+  const auto& near = fast[0].near_rtt.ms;
+  ASSERT_EQ(far.size(), static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(fast_run.stale_relearns, 1u);
+  EXPECT_EQ(fast_run.loss_relearns, 0u);
+  EXPECT_EQ(fast_run.probes_lost, 0u);
+  EXPECT_EQ(fast[0].responder_changes, std::vector<std::size_t>{kReroute});
+  for (int r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE(testing::Message() << "round " << r);
+    // The reroute round's far probe expires at c: stale, not recorded.
+    EXPECT_EQ(std::isnan(far[r]), r == kReroute);
+    // After the relearn the near probe (TTL 2) expires at c, not at a.
+    EXPECT_EQ(std::isnan(near[r]), r > kReroute);
+  }
+  // The detour adds two fabric crossings to the far RTT.
+  EXPECT_GT(far[kReroute + 1], far[0]);
+
+  // Scheduled packets never use pins: same samples, up to the probe
+  // bytes the analytic near probe finds still queued behind the far one.
+  const Run slow_run = run(true);
+  const auto& slow = slow_run.series;
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow_run.stale_relearns, fast_run.stale_relearns);
+  EXPECT_EQ(slow[0].responder_changes, fast[0].responder_changes);
+  for (int r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE(testing::Message() << "round " << r);
+    ASSERT_EQ(std::isnan(slow[0].far_rtt.ms[r]), std::isnan(far[r]));
+    ASSERT_EQ(std::isnan(slow[0].near_rtt.ms[r]), std::isnan(near[r]));
+    if (!std::isnan(far[r])) EXPECT_NEAR(slow[0].far_rtt.ms[r], far[r], 0.01);
+    if (!std::isnan(near[r])) EXPECT_NEAR(slow[0].near_rtt.ms[r], near[r], 0.01);
+  }
 }
 
 }  // namespace

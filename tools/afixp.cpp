@@ -71,7 +71,7 @@ constexpr const char* kEnvHelp =
     "                     clamped to the number of campaigns)\n"
     "  IXP_SIM_THREADS    default LP worker count inside each simulation when\n"
     "                     --sim-threads is 0/absent (unset = 1, i.e. serial);\n"
-    "                     the fleet divides its --jobs budget by this value\n"
+    "                     campaigns run no LP workers, so --jobs is unaffected\n"
     "  IXP_PARANOID       when set (and not 0), enable the runtime invariant\n"
     "                     checks (episode ordering, fluid-queue backlog\n"
     "                     bounds, series indexing) in every component\n"
@@ -212,7 +212,7 @@ int cmd_tables(int argc, const char* const* argv) {
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
   flags.add_int("sim-threads", 0,
                 "LP workers inside each campaign's simulation (0 = IXP_SIM_THREADS, "
-                "else 1); the fleet divides --jobs by this; output is byte-identical");
+                "else 1); output is byte-identical");
   flags.add_string("report", "", "write the combined multi-VP Markdown report here");
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (default IXP_METRICS; empty = off); "
@@ -645,14 +645,14 @@ int cmd_gen(int argc, const char* const* argv) {
                  "run the generated fleet end to end (columnar RTT storage engaged)");
   flags.add_bool("bench", false,
                  "benchmark the run and write the BENCH_substrate.json record (--out)");
-  flags.add_bool("shard-plan", false, "print the cost-model shard assignment");
+  flags.add_bool("shard-plan", false, "print the cost model's predicted shard packing");
   flags.add_int("seed", 0, "override the spec's seed (0 = keep)");
   flags.add_int("days", 0, "override the campaign length in days (0 = the spec's)");
   flags.add_int("round-minutes", 5, "TSLP probing cadence");
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
   flags.add_int("sim-threads", 0,
                 "LP workers inside each campaign's simulation (0 = IXP_SIM_THREADS, "
-                "else 1); the fleet divides --jobs by this");
+                "else 1)");
   flags.add_string("out", "BENCH_substrate.json", "--bench output JSON path (empty = stdout)");
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (default IXP_METRICS; empty = off)");

@@ -8,11 +8,13 @@
 # performance gate: smoke timings on shared CI boxes are too noisy to assert
 # thresholds on.
 #
-# One exception: the observability overhead gate.  A second campaign_six_vp
-# run with --metrics must stay within a lenient factor of the metrics-off
-# run -- metrics collection scrapes plain counters at segment boundaries,
-# so a big gap means someone put registry work on the per-probe path.  The
-# threshold (0.70x) is deliberately loose to survive CI noise.
+# One exception: the observability overhead gate.  campaign_six_vp runs
+# with --metrics must stay within a lenient factor of metrics-off runs --
+# metrics collection scrapes plain counters at segment boundaries, so a big
+# gap means someone put registry work on the per-probe path.  The threshold
+# (0.70x) is deliberately loose to survive CI noise, and the gate reads the
+# median of three interleaved off/on ratios: one smoke campaign is under
+# 0.1 s, so a single pair swung from 0.6 to 1.4 on a shared VM.
 #
 # When a bench_substrate binary is supplied, its smoke workload runs under
 # the same format gate: the afixp-bench-substrate/1 record must carry every
@@ -116,14 +118,17 @@ EOF
 [ $? -eq 0 ] || exit 1
 
 # --- Observability overhead gate ------------------------------------------
+off_out=$(mktemp)
 metrics_out=$(mktemp)
-trap 'rm -f "$out" "$metrics_out"' EXIT
-if ! "$bench" --smoke --only campaign_six_vp --metrics --out "$metrics_out"; then
-    echo "check_bench: bench_probe --metrics exited non-zero" >&2
-    exit 1
-fi
-
-python3 - "$out" "$metrics_out" <<'EOF'
+trap 'rm -f "$out" "$off_out" "$metrics_out"' EXIT
+ratios=""
+for pair in 1 2 3; do
+    if ! "$bench" --smoke --only campaign_six_vp --out "$off_out" > /dev/null ||
+       ! "$bench" --smoke --only campaign_six_vp --metrics --out "$metrics_out" > /dev/null; then
+        echo "check_bench: bench_probe --only campaign_six_vp exited non-zero (pair $pair)" >&2
+        exit 1
+    fi
+    ratio=$(python3 - "$off_out" "$metrics_out" <<'EOF'
 import json
 import sys
 
@@ -135,11 +140,21 @@ def warm(path, name):
             return b["warm_per_sec"]
     sys.exit(f"check_bench: {path} lacks benchmark {name!r}")
 
-off = warm(sys.argv[1], "campaign_six_vp")
-on = warm(sys.argv[2], "campaign_six_vp")
-ratio = on / off
+print(warm(sys.argv[2], "campaign_six_vp") / warm(sys.argv[1], "campaign_six_vp"))
+EOF
+) || exit 1
+    ratios="$ratios $ratio"
+done
+
+# shellcheck disable=SC2086  # ratios is a deliberate word list
+python3 - $ratios <<'EOF'
+import statistics
+import sys
+
+ratios = [float(r) for r in sys.argv[1:]]
+ratio = statistics.median(ratios)
 print(f"check_bench: campaign_six_vp metrics-on/off warm ratio {ratio:.3f} "
-      f"({on:.0f} vs {off:.0f} probes/s)")
+      f"(median of {', '.join(f'{r:.3f}' for r in ratios)})")
 if ratio < 0.70:
     sys.exit(f"check_bench: metrics collection costs too much "
              f"(ratio {ratio:.3f} < 0.70) -- registry work on the hot path?")
@@ -152,7 +167,7 @@ EOF
 [ -x "$substrate" ] || { echo "check_bench: cannot execute $substrate" >&2; exit 1; }
 
 sub_out=$(mktemp)
-trap 'rm -f "$out" "$metrics_out" "$sub_out"' EXIT
+trap 'rm -f "$out" "$off_out" "$metrics_out" "$sub_out"' EXIT
 if ! "$substrate" --smoke --out "$sub_out"; then
     echo "check_bench: bench_substrate --smoke exited non-zero" >&2
     exit 1
@@ -202,7 +217,7 @@ EOF
 [ -x "$tslp" ] || { echo "check_bench: cannot execute $tslp" >&2; exit 1; }
 
 tslp_out=$(mktemp)
-trap 'rm -f "$out" "$metrics_out" "$sub_out" "$tslp_out"' EXIT
+trap 'rm -f "$out" "$off_out" "$metrics_out" "$sub_out" "$tslp_out"' EXIT
 if ! "$tslp" --smoke --out "$tslp_out"; then
     echo "check_bench: bench_tslp --smoke exited non-zero" >&2
     exit 1
@@ -251,7 +266,7 @@ if [ -n "$serve" ]; then
     [ -x "$serve" ] || { echo "check_bench: cannot execute $serve" >&2; exit 1; }
 
     serve_out=$(mktemp)
-    trap 'rm -f "$out" "$metrics_out" "$sub_out" "$tslp_out" "$serve_out"' EXIT
+    trap 'rm -f "$out" "$off_out" "$metrics_out" "$sub_out" "$tslp_out" "$serve_out"' EXIT
     if ! "$serve" --smoke --out "$serve_out"; then
         echo "check_bench: bench_serve --smoke exited non-zero" >&2
         exit 1

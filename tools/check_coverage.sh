@@ -31,6 +31,11 @@ fi
 log_dir=$(mktemp -d)
 trap 'rm -rf "$log_dir"' EXIT
 
+# Wall-clock seconds for the per-step timings printed below (where the
+# coverage/sanitizer minutes of a CI run go).
+now() { date +%s.%N; }
+since() { awk -v a="$1" -v b="$(now)" 'BEGIN { printf "%.1f", b - a }'; }
+
 # --- Configure + build the instrumented tree ------------------------------
 if ! cmake -B "$build" -S "$src" -DIXP_COVERAGE=ON \
         > "$log_dir/configure.log" 2>&1; then
@@ -38,6 +43,7 @@ if ! cmake -B "$build" -S "$src" -DIXP_COVERAGE=ON \
     tail -n 30 "$log_dir/configure.log" >&2
     exit 1
 fi
+t0=$(now)
 # shellcheck disable=SC2086  # suites is a deliberate word list
 if ! cmake --build "$build" --target $suites -j "$(nproc)" \
         > "$log_dir/build.log" 2>&1; then
@@ -45,6 +51,7 @@ if ! cmake --build "$build" --target $suites -j "$(nproc)" \
     tail -n 30 "$log_dir/build.log" >&2
     exit 1
 fi
+echo "check_coverage: built in $(since "$t0") s"
 
 # --- Run the suites (counters accumulate into the .gcda files) ------------
 # Stale counters from a previous source revision would inflate the number,
@@ -52,10 +59,11 @@ fi
 find "$build/src" -name '*.gcda' -delete
 for s in $suites; do
     printf 'check_coverage: running %s ... ' "$s"
+    t0=$(now)
     if "$build/tests/$s" --gtest_brief=1 > "$log_dir/$s.log" 2>&1; then
-        echo "OK"
+        echo "OK ($(since "$t0") s)"
     else
-        echo "FAILED"
+        echo "FAILED ($(since "$t0") s)"
         tail -n 40 "$log_dir/$s.log"
         exit 1
     fi

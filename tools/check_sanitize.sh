@@ -44,6 +44,11 @@ case "$mode" in
         ;;
 esac
 
+# Wall-clock seconds for the per-step timings printed below (where the
+# coverage/sanitizer minutes of a CI run go).
+now() { date +%s.%N; }
+since() { awk -v a="$1" -v b="$(now)" 'BEGIN { printf "%.1f", b - a }'; }
+
 # --- Toolchain probe: can we compile AND run a sanitized binary? ----------
 probe_dir=$(mktemp -d)
 trap 'rm -rf "$probe_dir"' EXIT
@@ -64,6 +69,7 @@ if ! cmake -B "$build" -S "$src" \
     tail -n 30 "$probe_dir/configure.log" >&2
     exit 1
 fi
+t0=$(now)
 # shellcheck disable=SC2086  # suites is a deliberate word list
 if ! cmake --build "$build" --target $suites -j "$(nproc)" \
         > "$probe_dir/build.log" 2>&1; then
@@ -71,6 +77,7 @@ if ! cmake --build "$build" --target $suites -j "$(nproc)" \
     tail -n 30 "$probe_dir/build.log" >&2
     exit 1
 fi
+echo "check_sanitize: built [$mode] in $(since "$t0") s"
 
 # --- Run the suites with halt-on-error sanitizer settings -----------------
 ASAN_OPTIONS="strict_string_checks=1:detect_stack_use_after_return=1"
@@ -82,10 +89,11 @@ export ASAN_OPTIONS UBSAN_OPTIONS TSAN_OPTIONS
 status=0
 for s in $suites; do
     printf 'check_sanitize: running %s [%s] ... ' "$s" "$mode"
+    t0=$(now)
     if "$build/tests/$s" --gtest_brief=1 > "$probe_dir/$s.log" 2>&1; then
-        echo "OK"
+        echo "OK ($(since "$t0") s)"
     else
-        echo "FAILED"
+        echo "FAILED ($(since "$t0") s)"
         tail -n 40 "$probe_dir/$s.log"
         status=1
     fi
