@@ -973,6 +973,7 @@ TslpBenchReport run_tslp_benchmark(const TslpBenchOptions& opt, std::ostream* lo
 
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) == 0) rep.peak_rss_kb = ru.ru_maxrss;
+  rep.host_cpus = static_cast<int>(std::thread::hardware_concurrency());
   if (log) {
     *log << strformat(
         "  speedup: batch %.2fx, online %.2fx (%s); %llu episodes, %llu congested links\n",
@@ -1016,7 +1017,8 @@ void write_tslp_bench_json(std::ostream& out, const TslpBenchReport& rep) {
                    static_cast<unsigned long long>(rep.windows_scanned));
   out << strformat("  \"windows_skipped\": %llu,\n",
                    static_cast<unsigned long long>(rep.windows_skipped));
-  out << strformat("  \"peak_rss_kb\": %ld\n", rep.peak_rss_kb);
+  out << strformat("  \"peak_rss_kb\": %ld,\n", rep.peak_rss_kb);
+  out << strformat("  \"host_cpus\": %d\n", rep.host_cpus);
   out << "}\n";
 }
 

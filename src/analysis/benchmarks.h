@@ -266,6 +266,7 @@ struct TslpBenchReport {
   std::uint64_t windows_scanned = 0;
   std::uint64_t windows_skipped = 0;  ///< dark + quiet skips
   long peak_rss_kb = 0;
+  int host_cpus = 0;  ///< recording host's hardware concurrency
 };
 
 /// Builds the synthetic corpus and times the three engines.  Throws

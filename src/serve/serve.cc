@@ -124,6 +124,10 @@ void ServeDaemon::run_pass(std::uint64_t pass) {
     obs::write_prometheus(prom, registry_);
     metrics_prom_ = prom.str();
   }
+  if (!passes_.empty()) {
+    passes_.back().results = {};
+    passes_.back().registry = obs::Registry{};
+  }
   passes_.push_back(std::move(fleet));
   publish_epoch(/*final_pass=*/true);
   passes_completed_.fetch_add(1, std::memory_order_release);

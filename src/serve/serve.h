@@ -91,7 +91,11 @@ class ServeDaemon {
   /// Cumulative deterministic registry (passes merged in pass order).
   /// Stable only once wait() has returned.
   [[nodiscard]] const obs::Registry& registry() const { return registry_; }
-  /// Per-pass fleet results, pass-major (stable once wait() returned).
+  /// One fleet result per completed pass, pass-major (stable once wait()
+  /// returned).  Every entry keeps its wall_seconds, plan and metrics, but
+  /// only the last keeps its per-VP `results` and `registry`: earlier
+  /// passes are already folded into registry() and the snapshot, so a
+  /// looping daemon does not hold every pass's results.
   [[nodiscard]] const std::vector<analysis::FleetResult>& passes() const { return passes_; }
   [[nodiscard]] std::uint64_t passes_completed() const {
     return passes_completed_.load(std::memory_order_acquire);

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
+#include <numeric>
+#include <unordered_map>
+#include <utility>
 
 #include "stats/descriptive.h"
 #include "stats/ranks.h"
@@ -117,37 +121,49 @@ class InlineXoshiro {
     s_[3] = rotl(s_[3], 45);
     return result;
   }
-  // State round trip for the batch driver's round kernel: it runs whole
-  // bootstrap rounds on register-resident copies of four generators'
-  // states and writes them back once per round, instead of bouncing every
-  // draw's state update through memory.
-  void save_state(std::uint64_t out[4]) const {
-    for (int k = 0; k < 4; ++k) out[k] = s_[k];
-  }
-  void load_state(const std::uint64_t in[4]) {
-    for (int k = 0; k < 4; ++k) s_[k] = in[k];
-  }
+
+ private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
-
- private:
   std::uint64_t s_[4];
 };
 
 /// Grows the per-span division tables to cover spans up to `n`.  Each span
 /// ever seen pays its two divisions once; the bootstrap then replaces
-/// every `v % span` with a multiply-high (exact: mod_magic[s] =
-/// ceil(2^64/s) makes the estimated quotient off by at most one, fixed up
-/// below).
-void ensure_mod_tables(ChangePointScratch& scratch, std::size_t n) {
-  if (n + 1 <= scratch.mod_magic.size()) return;
-  const std::size_t from = std::max<std::size_t>(2, scratch.mod_magic.size());
-  scratch.mod_magic.resize(n + 1, 0);
-  scratch.mod_limit.resize(n + 1, 0);
+/// every `v % span` with a multiply-high (exact: magic[s] = ceil(2^64/s)
+/// makes the estimated quotient off by at most one, fixed up in
+/// shuffle_round).
+void ensure_mod_tables(std::vector<std::uint64_t>& magic, std::vector<std::uint64_t>& limit,
+                       std::size_t n) {
+  if (n + 1 <= magic.size()) return;
+  const std::size_t from = std::max<std::size_t>(2, magic.size());
+  magic.resize(n + 1, 0);
+  limit.resize(n + 1, 0);
   for (std::size_t s = from; s <= n; ++s) {
-    scratch.mod_magic[s] = ~0ULL / s + 1;
-    scratch.mod_limit[s] = ~0ULL - ~0ULL % s;
+    magic[s] = ~0ULL / s + 1;
+    limit[s] = ~0ULL - ~0ULL % s;
+  }
+}
+
+// One bootstrap round: a Fisher-Yates pass over data[0, n) with exactly
+// the draws Detector::confidence_of makes through Rng::uniform_int --
+// rejection redraws included -- and the table-driven exact modulo.
+template <class T>
+void shuffle_round(InlineXoshiro& rng, T* data, std::size_t n, const std::uint64_t* magic,
+                   const std::uint64_t* limit) {
+  for (std::size_t i = n; i > 1; --i) {
+    std::uint64_t u = rng.next();
+    if (u >= limit[i]) [[unlikely]] {
+      do {
+        u = rng.next();
+      } while (u >= limit[i]);
+    }
+    const std::uint64_t q =
+        static_cast<std::uint64_t>((static_cast<unsigned __int128>(u) * magic[i]) >> 64);
+    std::uint64_t j = u - q * i;
+    if (j >= i) j += i;  // estimated quotient overshot by one
+    std::swap(data[i - 1], data[j]);
   }
 }
 
@@ -242,6 +258,157 @@ bool cusum_below_int(std::span<const std::int32_t> v, std::int64_t observed_scal
   return true;
 }
 
+// out[k] = base[perm[k]]: round r's reshuffled buffer, rebuilt from the
+// unshuffled one.
+void gather(const double* base, const std::uint16_t* perm, std::size_t n, double* out) {
+  for (std::size_t k = 0; k < n; ++k) out[k] = base[perm[k]];
+}
+void gather(const std::int32_t* base, const std::uint16_t* perm, std::size_t n,
+            std::int32_t* out) {
+  simd::gather_i32(base, perm, n, out);
+}
+
+// The verdict arithmetic of a bootstrap with `opt`'s rounds and bar.
+struct BootstrapBar {
+  int rounds;
+  int max_fail;  ///< exceedances tolerated before the bar is out of reach
+  int need;      ///< smallest below-count that clears the bar
+
+  explicit BootstrapBar(const CusumOptions& opt)
+      : rounds(std::max(1, opt.bootstrap_rounds)),
+        max_fail(static_cast<int>(std::floor((1.0 - opt.confidence) * rounds))),
+        need(rounds + 1) {
+    // Under the same floating-point comparison the verdict uses.
+    for (int b = 0; b <= rounds; ++b) {
+      if (static_cast<double>(b) / rounds >= opt.confidence) {
+        need = b;
+        break;
+      }
+    }
+  }
+};
+
+}  // namespace
+
+// A replayable top-level bootstrap.  Row r of `perms` is the cumulative
+// index permutation after round r: drawing round r in place leaves
+// buffer[k] == original[perms[r * n + k]].
+struct BootstrapTable::Entry {
+  std::size_t n;
+  std::vector<std::uint16_t> perms;  ///< rounds x n
+  InlineXoshiro after;               ///< the generator once every round drew
+};
+
+struct BootstrapTable::State {
+  struct Key {
+    std::uint64_t seed;
+    std::size_t n;
+    int rounds;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<std::uint64_t>{}(k.seed ^ (k.n * 0x9e3779b97f4a7c15ULL) ^
+                                        (static_cast<std::uint64_t>(k.rounds) << 48));
+    }
+  };
+  enum class Slot : std::uint8_t { kSeen, kBuilding, kReady };
+  struct Node {
+    Slot slot = Slot::kSeen;
+    std::unique_ptr<const Entry> entry;
+  };
+
+  explicit State(std::size_t b) : budget(b) {}
+  const std::size_t budget;
+  std::mutex mu;
+  std::unordered_map<Key, Node, KeyHash> nodes;  ///< never erased: entries outlive callers
+  Stats stats;
+};
+
+namespace {
+
+// Budget charged for remembering a key's first request, so keys that never
+// earn an entry cannot grow the table without bound either.
+constexpr std::size_t kKeyMarkerBytes = 64;
+// Permutation indices are uint16.
+constexpr std::size_t kMaxReplayLength = std::size_t{1} << 16;
+
+std::unique_ptr<const BootstrapTable::Entry> build_entry(std::uint64_t seed, std::size_t n,
+                                                         int rounds) {
+  std::vector<std::uint64_t> magic, limit;
+  ensure_mod_tables(magic, limit, n);
+  InlineXoshiro rng(seed);
+  std::vector<std::uint16_t> perms(static_cast<std::size_t>(rounds) * n);
+  std::iota(perms.begin(), perms.begin() + static_cast<std::ptrdiff_t>(n), std::uint16_t{0});
+  for (int r = 0; r < rounds; ++r) {
+    std::uint16_t* row = perms.data() + static_cast<std::size_t>(r) * n;
+    if (r > 0) std::copy(row - n, row, row);
+    shuffle_round(rng, row, n, magic.data(), limit.data());
+  }
+  return std::make_unique<const BootstrapTable::Entry>(
+      BootstrapTable::Entry{n, std::move(perms), rng});
+}
+
+}  // namespace
+
+BootstrapTable::BootstrapTable(std::size_t budget_bytes)
+    : state_(std::make_unique<State>(budget_bytes)) {}
+
+BootstrapTable::~BootstrapTable() = default;
+
+BootstrapTable& BootstrapTable::shared() {
+  static BootstrapTable table(kBudgetBytes);
+  return table;
+}
+
+BootstrapTable::Stats BootstrapTable::stats() const {
+  const std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->stats;
+}
+
+const BootstrapTable::Entry* BootstrapTable::acquire(std::uint64_t seed, std::size_t n,
+                                                     int rounds) {
+  State& st = *state_;
+  const std::size_t entry_bytes =
+      sizeof(Entry) + static_cast<std::size_t>(rounds) * n * sizeof(std::uint16_t);
+  State::Node* node = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(st.mu);
+    ++st.stats.requests;
+    if (n > kMaxReplayLength) return nullptr;
+    const auto it = st.nodes.find(State::Key{seed, n, rounds});
+    if (it == st.nodes.end()) {
+      if (st.stats.bytes + kKeyMarkerBytes <= st.budget) {
+        st.nodes.emplace(State::Key{seed, n, rounds}, State::Node{});
+        st.stats.bytes += kKeyMarkerBytes;
+      }
+      return nullptr;
+    }
+    node = &it->second;
+    if (node->slot == State::Slot::kReady) {
+      ++st.stats.served;
+      return node->entry.get();
+    }
+    // Another thread is building it, or it does not fit: draw.
+    if (node->slot == State::Slot::kBuilding || st.stats.bytes + entry_bytes > st.budget) {
+      return nullptr;
+    }
+    node->slot = State::Slot::kBuilding;
+    st.stats.bytes += entry_bytes;
+  }
+  // Built outside the lock so other keys' requests proceed meanwhile; the
+  // node reference survives rehashing (unordered_map nodes never move).
+  auto entry = build_entry(seed, n, rounds);
+  const std::lock_guard<std::mutex> lock(st.mu);
+  node->entry = std::move(entry);
+  node->slot = State::Slot::kReady;
+  ++st.stats.entries;
+  ++st.stats.served;
+  return node->entry.get();
+}
+
+namespace {
+
 // The scratch-reusing twin of Detector, producing the identical accepted
 // index set from the identical draw stream.  Differences from
 // Detector::confidence_of, none of which can change a decision or a draw:
@@ -256,31 +423,26 @@ bool cusum_below_int(std::span<const std::int32_t> v, std::int64_t observed_scal
 //   * the failure exit (r - below >= max_fail + 1) is the one Detector
 //     also takes; a success exit that *stopped drawing* would desync the
 //     stream for the rest of the recursion, which is why sealed rounds
-//     drain draws instead of returning.
+//     drain draws instead of returning;
+//   * the top-level bootstrap may replay from a BootstrapTable entry
+//     instead of drawing (see replay_rounds).
 struct IndexDetector {
   const CusumOptions& opt;
   InlineXoshiro rng;
   ChangePointScratch& scratch;
+  // Offered to the first confident() call only -- the top-level window,
+  // whose stream starts at the seed -- which clears it.
+  BootstrapTable* table;
 
-  // The shared bootstrap round loop; `scan` judges one shuffled buffer.
+  // The drawn round loop; `scan` judges one shuffled buffer.
   template <class T, class Scan>
   bool bootstrap_rounds(T* data, std::size_t n, Scan&& scan) {
-    const int rounds = std::max(1, opt.bootstrap_rounds);
-    const int max_fail = static_cast<int>(std::floor((1.0 - opt.confidence) * rounds));
-    // Smallest exceedance count that already clears the confidence bar,
-    // under the same floating-point comparison the verdict uses.
-    int need = rounds + 1;
-    for (int b = 0; b <= rounds; ++b) {
-      if (static_cast<double>(b) / rounds >= opt.confidence) {
-        need = b;
-        break;
-      }
-    }
+    const BootstrapBar bar(opt);
     const std::uint64_t* magic = scratch.mod_magic.data();
     const std::uint64_t* limit = scratch.mod_limit.data();
     int below = 0;
-    for (int r = 0; r < rounds; ++r) {
-      if (below >= need) {
+    for (int r = 0; r < bar.rounds; ++r) {
+      if (below >= bar.need) {
         // Sealed: drain this round's draws without shuffling or scanning.
         for (std::size_t i = n; i > 1; --i) {
           while (rng.next() >= limit[i]) {
@@ -288,50 +450,70 @@ struct IndexDetector {
         }
         continue;
       }
-      // Fisher-Yates; identical draw sequence to Detector::confidence_of.
-      for (std::size_t i = n; i > 1; --i) {
-        std::uint64_t u = rng.next();
-        if (u >= limit[i]) [[unlikely]] {
-          do {
-            u = rng.next();
-          } while (u >= limit[i]);
-        }
-        const std::uint64_t q =
-            static_cast<std::uint64_t>((static_cast<unsigned __int128>(u) * magic[i]) >> 64);
-        std::uint64_t j = u - q * i;
-        if (j >= i) j += i;  // estimated quotient overshot by one
-        std::swap(data[i - 1], data[j]);
-      }
-      if (scan()) {
+      shuffle_round(rng, data, n, magic, limit);
+      if (scan(std::span<const T>(data, n))) {
         ++below;
-      } else if (r - below >= max_fail + 1) {
+      } else if (r - below >= bar.max_fail + 1) {
         // Even if every remaining round lands below, the bar is missed.
         return false;
       }
     }
-    return static_cast<double>(below) / rounds >= opt.confidence;
+    return below >= bar.need;
+  }
+
+  // The same verdict from a table entry.  The draws never depend on the
+  // samples, so gathering the unshuffled `base` through permutation r puts
+  // the same values at the same positions as the r-th drawn reshuffle:
+  // every scan, and so every exit, matches.  On acceptance the generator
+  // jumps to where the drawn path's drained rounds leave it.
+  template <class T, class Scan>
+  bool replay_rounds(const BootstrapTable::Entry& e, const T* base, std::vector<T>& out,
+                     Scan&& scan) {
+    const BootstrapBar bar(opt);
+    const std::size_t n = e.n;
+    out.resize(n);
+    int below = 0;
+    for (int r = 0; r < bar.rounds && below < bar.need; ++r) {
+      gather(base, e.perms.data() + static_cast<std::size_t>(r) * n, n, out.data());
+      if (scan(std::span<const T>(out))) {
+        ++below;
+      } else if (r - below >= bar.max_fail + 1) {
+        return false;
+      }
+    }
+    if (below < bar.need) return false;
+    rng = e.after;
+    return true;
   }
 
   bool confident(std::span<const double> v) {
+    BootstrapTable* const offered = std::exchange(table, nullptr);
     const double m = mean(v);
     if (std::isnan(m)) return false;
     const double observed = cusum_range(v, m);
     if (observed <= 0) return false;
+    const BootstrapTable::Entry* replay =
+        offered != nullptr ? offered->acquire(opt.seed, v.size(), BootstrapBar(opt).rounds)
+                           : nullptr;
     std::int64_t observed_scaled = 0;
     bool prefix_i32 = false;
     if (build_exact_buffer(v, m, observed, scratch.shuffled_int, observed_scaled, prefix_i32)) {
       auto& buf = scratch.shuffled_int;
-      return bootstrap_rounds(buf.data(), buf.size(), [&buf, observed_scaled, prefix_i32] {
-        return cusum_below_int(buf, observed_scaled, prefix_i32);
-      });
+      const auto scan = [observed_scaled, prefix_i32](std::span<const std::int32_t> s) {
+        return cusum_below_int(s, observed_scaled, prefix_i32);
+      };
+      return replay != nullptr ? replay_rounds(*replay, buf.data(), scratch.replayed_int, scan)
+                               : bootstrap_rounds(buf.data(), buf.size(), scan);
     }
     auto& shuffled = scratch.shuffled;
     shuffled.clear();
     shuffled.reserve(v.size());
     for (const double x : v) shuffled.push_back(std::isfinite(x) ? x : m);
-    return bootstrap_rounds(shuffled.data(), shuffled.size(), [&shuffled, m, observed] {
-      return cusum_below(shuffled, m, observed);
-    });
+    const auto scan = [m, observed](std::span<const double> s) {
+      return cusum_below(s, m, observed);
+    };
+    return replay != nullptr ? replay_rounds(*replay, shuffled.data(), scratch.replayed, scan)
+                             : bootstrap_rounds(shuffled.data(), shuffled.size(), scan);
   }
 
   void recurse(std::span<const double> v, std::size_t offset) {
@@ -346,109 +528,6 @@ struct IndexDetector {
     recurse(v.subspan(split), offset + split);
   }
 };
-
-void ranks_into(std::span<const double> v, std::vector<double>& out,
-                std::vector<std::size_t>& idx);
-
-// One in-flight window of the batched driver.  A lane owns everything the
-// top-level bootstrap of one window touches -- generator, rank buffer,
-// shuffle buffer, round counters -- so four lanes can advance one round at
-// a time with their draw loops interleaved.  (The recursion after an
-// accepted top-level split stays scalar inside the lane: its bootstraps
-// are mostly small, size-varying segments whose chains cannot share a
-// lockstep kernel without fragmenting it -- a chained-segment variant of
-// this driver measured slower than the scalar recursion it replaced.)
-struct BootstrapLane {
-  ChangePointTask* task = nullptr;
-  InlineXoshiro rng{0};
-  std::span<const double> input;      ///< rank transform (or the raw samples)
-  std::vector<double> ranks;          ///< backing store when use_ranks
-  std::vector<std::int32_t> ibuf;     ///< exact-integer shuffle buffer
-  std::vector<double> dbuf;           ///< double shuffle buffer (fallback)
-  bool exact = false;
-  bool prefix_i32 = false;
-  double m = 0.0;
-  double observed = 0.0;
-  std::int64_t observed_scaled = 0;
-  int rounds = 0;
-  int max_fail = 0;
-  int need = 0;
-  int r = 0;
-  int below = 0;
-};
-
-// Loads the next task whose top-level bootstrap actually needs rounds into
-// `lane`.  Tasks that decide without drawing (too short, no finite mean, a
-// non-positive CUSUM range) are resolved inline with an empty result, same
-// as IndexDetector::recurse would.  Returns false when the task list is
-// exhausted.
-bool fill_lane(BootstrapLane& lane, std::span<ChangePointTask> tasks, std::size_t& next,
-               ChangePointScratch& scratch) {
-  while (next < tasks.size()) {
-    ChangePointTask& t = tasks[next++];
-    t.found.clear();
-    if (t.v.size() < 2 * t.opt.min_segment) continue;
-    if (t.opt.use_ranks) {
-      ranks_into(t.v, lane.ranks, scratch.order);
-      lane.input = lane.ranks;
-    } else {
-      lane.input = t.v;
-    }
-    const double m = mean(lane.input);
-    if (std::isnan(m)) continue;
-    const double observed = cusum_range(lane.input, m);
-    if (observed <= 0) continue;
-    ensure_mod_tables(scratch, lane.input.size());
-    lane.task = &t;
-    lane.rng = InlineXoshiro(t.opt.seed);
-    lane.m = m;
-    lane.observed = observed;
-    lane.exact = build_exact_buffer(lane.input, m, observed, lane.ibuf, lane.observed_scaled,
-                                    lane.prefix_i32);
-    if (!lane.exact) {
-      lane.dbuf.clear();
-      lane.dbuf.reserve(lane.input.size());
-      for (const double x : lane.input) lane.dbuf.push_back(std::isfinite(x) ? x : m);
-    }
-    lane.rounds = std::max(1, t.opt.bootstrap_rounds);
-    lane.max_fail = static_cast<int>(std::floor((1.0 - t.opt.confidence) * lane.rounds));
-    lane.need = lane.rounds + 1;
-    for (int b = 0; b <= lane.rounds; ++b) {
-      if (static_cast<double>(b) / lane.rounds >= t.opt.confidence) {
-        lane.need = b;
-        break;
-      }
-    }
-    lane.r = 0;
-    lane.below = 0;
-    return true;
-  }
-  lane.task = nullptr;
-  return false;
-}
-
-// The tail of IndexDetector::recurse for a window whose top-level
-// confident() call accepted: locate the split, then continue the recursion
-// scalar with the lane's generator, which sits at exactly the stream
-// position the sequential path would have reached.
-void finish_accepted_lane(BootstrapLane& lane, ChangePointScratch& scratch) {
-  ChangePointTask& t = *lane.task;
-  scratch.found.clear();
-  const std::span<const double> input = lane.input;
-  const double m = mean(input);
-  const std::size_t ext = cusum_extremum(input, m);
-  const std::size_t split = ext + 1;  // first index of the new level
-  if (split >= t.opt.min_segment && input.size() - split >= t.opt.min_segment) {
-    scratch.found.push_back(split);
-    IndexDetector det{t.opt, lane.rng, scratch};
-    det.recurse(input.subspan(0, split), 0);
-    det.recurse(input.subspan(split), split);
-  }
-  std::sort(scratch.found.begin(), scratch.found.end());
-  scratch.found.erase(std::unique(scratch.found.begin(), scratch.found.end()),
-                      scratch.found.end());
-  t.found.assign(scratch.found.begin(), scratch.found.end());
-}
 
 // ranks() with caller-owned buffers; same values in the same order.
 void ranks_into(std::span<const double> v, std::vector<double>& out,
@@ -476,229 +555,20 @@ void ranks_into(std::span<const double> v, std::vector<double>& out,
 
 const std::vector<std::size_t>& detect_change_point_indices(std::span<const double> v,
                                                             const CusumOptions& opt,
-                                                            ChangePointScratch& scratch) {
+                                                            ChangePointScratch& scratch,
+                                                            BootstrapTable& table) {
   std::span<const double> input = v;
   if (opt.use_ranks) {
     ranks_into(v, scratch.ranks, scratch.order);
     input = scratch.ranks;
   }
   scratch.found.clear();
-  ensure_mod_tables(scratch, input.size());
-  IndexDetector det{opt, InlineXoshiro(opt.seed), scratch};
+  ensure_mod_tables(scratch.mod_magic, scratch.mod_limit, input.size());
+  IndexDetector det{opt, InlineXoshiro(opt.seed), scratch, &table};
   det.recurse(input, 0);
   std::sort(scratch.found.begin(), scratch.found.end());
   scratch.found.erase(std::unique(scratch.found.begin(), scratch.found.end()), scratch.found.end());
   return scratch.found;
-}
-
-void detect_change_point_indices_batch(std::span<ChangePointTask> tasks,
-                                       ChangePointScratch& scratch) {
-  constexpr int kLanes = 4;
-  BootstrapLane lanes[kLanes];
-  std::size_t next = 0;
-  int active = 0;
-  for (auto& lane : lanes) {
-    if (fill_lane(lane, tasks, next, scratch)) ++active;
-  }
-
-  while (active > 0) {
-    // Advance every live lane by exactly one bootstrap round.  Each lane
-    // replays exactly the draws the sequential path makes -- rejection
-    // redraws are a per-lane scalar loop, so lockstep never constrains a
-    // stream -- and a lane whose acceptance is already sealed drains its
-    // draws without shuffling (see IndexDetector for why it must keep
-    // drawing).
-    const std::uint64_t* magic = scratch.mod_magic.data();
-    const std::uint64_t* limit = scratch.mod_limit.data();
-    bool sealed[kLanes];
-    bool kernel_ok = true;
-    for (int l = 0; l < kLanes; ++l) {
-      sealed[l] = lanes[l].task && lanes[l].below >= lanes[l].need;
-      kernel_ok = kernel_ok && lanes[l].task && lanes[l].exact &&
-                  lanes[l].input.size() == lanes[0].input.size();
-    }
-    if (kernel_ok) {
-      // Four live exact lanes of one window size: the common case (the
-      // TSLP pipeline hands over same-length windows).  All four generator
-      // states live in locals for the whole round, so the per-draw state
-      // update is a register chain, and the four independent chains
-      // overlap in the out-of-order window -- this is where the
-      // interleaving actually pays; a lane-struct-resident state would
-      // serialize every draw on a store-to-load round trip.
-      std::uint64_t s0[kLanes], s1[kLanes], s2[kLanes], s3[kLanes];
-      std::int32_t* buf[kLanes];
-      bool drain[kLanes];
-      for (int l = 0; l < kLanes; ++l) {
-        std::uint64_t st[4];
-        lanes[l].rng.save_state(st);
-        s0[l] = st[0];
-        s1[l] = st[1];
-        s2[l] = st[2];
-        s3[l] = st[3];
-        buf[l] = lanes[l].ibuf.data();
-        drain[l] = sealed[l];
-      }
-#if defined(__AVX2__)
-      // The four generator states as four u64 lanes of one vector each:
-      // one vector step produces all four lanes' draws.  Every operation
-      // is lanewise integer (add/xor/shift/rotate), so each lane computes
-      // exactly what its scalar InlineXoshiro would.  A rejected draw
-      // (probability <= span / 2^64) spills the states, redraws that one
-      // lane scalar, and reloads -- the other lanes never advance.
-      __m256i S0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s0));
-      __m256i S1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s1));
-      __m256i S2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s2));
-      __m256i S3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s3));
-      for (std::size_t s = lanes[0].input.size(); s > 1; --s) {
-        const std::uint64_t lim = limit[s];
-        const std::uint64_t mg = magic[s];
-        const __m256i sum = _mm256_add_epi64(S0, S3);
-        const __m256i rot =
-            _mm256_or_si256(_mm256_slli_epi64(sum, 23), _mm256_srli_epi64(sum, 41));
-        const __m256i res = _mm256_add_epi64(rot, S0);
-        const __m256i t = _mm256_slli_epi64(S1, 17);
-        S2 = _mm256_xor_si256(S2, S0);
-        S3 = _mm256_xor_si256(S3, S1);
-        S1 = _mm256_xor_si256(S1, S2);
-        S0 = _mm256_xor_si256(S0, S3);
-        S2 = _mm256_xor_si256(S2, t);
-        S3 = _mm256_or_si256(_mm256_slli_epi64(S3, 45), _mm256_srli_epi64(S3, 19));
-        alignas(32) std::uint64_t u[kLanes];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(u), res);
-#pragma GCC unroll 4
-        for (int l = 0; l < kLanes; ++l) {
-          std::uint64_t ul = u[l];
-          if (ul >= lim) [[unlikely]] {
-            alignas(32) std::uint64_t a0[kLanes], a1[kLanes], a2[kLanes], a3[kLanes];
-            _mm256_store_si256(reinterpret_cast<__m256i*>(a0), S0);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(a1), S1);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(a2), S2);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(a3), S3);
-            do {
-              ul = InlineXoshiro::rotl(a0[l] + a3[l], 23) + a0[l];
-              const std::uint64_t tt = a1[l] << 17;
-              a2[l] ^= a0[l];
-              a3[l] ^= a1[l];
-              a1[l] ^= a2[l];
-              a0[l] ^= a3[l];
-              a2[l] ^= tt;
-              a3[l] = InlineXoshiro::rotl(a3[l], 45);
-            } while (ul >= lim);
-            S0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a0));
-            S1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a1));
-            S2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a2));
-            S3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a3));
-          }
-          if (!drain[l]) {
-            const std::uint64_t q =
-                static_cast<std::uint64_t>((static_cast<unsigned __int128>(ul) * mg) >> 64);
-            std::uint64_t j = ul - q * s;
-            if (j >= s) j += s;  // estimated quotient overshot by one
-            const std::int32_t tmp = buf[l][s - 1];
-            buf[l][s - 1] = buf[l][j];
-            buf[l][j] = tmp;
-          }
-        }
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s0), S0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s1), S1);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s2), S2);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s3), S3);
-#else
-      for (std::size_t s = lanes[0].input.size(); s > 1; --s) {
-        const std::uint64_t lim = limit[s];
-        const std::uint64_t mg = magic[s];
-#pragma GCC unroll 4
-        for (int l = 0; l < kLanes; ++l) {
-          std::uint64_t u = InlineXoshiro::rotl(s0[l] + s3[l], 23) + s0[l];
-          std::uint64_t t = s1[l] << 17;
-          s2[l] ^= s0[l];
-          s3[l] ^= s1[l];
-          s1[l] ^= s2[l];
-          s0[l] ^= s3[l];
-          s2[l] ^= t;
-          s3[l] = InlineXoshiro::rotl(s3[l], 45);
-          if (u >= lim) [[unlikely]] {
-            do {
-              u = InlineXoshiro::rotl(s0[l] + s3[l], 23) + s0[l];
-              t = s1[l] << 17;
-              s2[l] ^= s0[l];
-              s3[l] ^= s1[l];
-              s1[l] ^= s2[l];
-              s0[l] ^= s3[l];
-              s2[l] ^= t;
-              s3[l] = InlineXoshiro::rotl(s3[l], 45);
-            } while (u >= lim);
-          }
-          if (!drain[l]) {
-            const std::uint64_t q =
-                static_cast<std::uint64_t>((static_cast<unsigned __int128>(u) * mg) >> 64);
-            std::uint64_t j = u - q * s;
-            if (j >= s) j += s;  // estimated quotient overshot by one
-            const std::int32_t tmp = buf[l][s - 1];
-            buf[l][s - 1] = buf[l][j];
-            buf[l][j] = tmp;
-          }
-        }
-      }
-#endif
-      for (int l = 0; l < kLanes; ++l) {
-        const std::uint64_t st[4] = {s0[l], s1[l], s2[l], s3[l]};
-        lanes[l].rng.load_state(st);
-      }
-    } else {
-      // Generic round: partial occupancy (pool tail), a non-exact lane, or
-      // mixed window sizes.  Same draws, lane state in place.
-      for (int l = 0; l < kLanes; ++l) {
-        BootstrapLane& ln = lanes[l];
-        if (!ln.task) continue;
-        for (std::size_t s = ln.input.size(); s > 1; --s) {
-          std::uint64_t u = ln.rng.next();
-          if (u >= limit[s]) [[unlikely]] {
-            do {
-              u = ln.rng.next();
-            } while (u >= limit[s]);
-          }
-          if (!sealed[l]) {
-            const std::uint64_t q =
-                static_cast<std::uint64_t>((static_cast<unsigned __int128>(u) * magic[s]) >> 64);
-            std::uint64_t j = u - q * s;
-            if (j >= s) j += s;  // estimated quotient overshot by one
-            if (ln.exact) {
-              std::swap(ln.ibuf[s - 1], ln.ibuf[j]);
-            } else {
-              std::swap(ln.dbuf[s - 1], ln.dbuf[j]);
-            }
-          }
-        }
-      }
-    }
-    // Scans and verdicts.
-    for (int l = 0; l < kLanes; ++l) {
-      BootstrapLane& ln = lanes[l];
-      if (!ln.task) continue;
-      bool decided = false;
-      bool accepted = false;
-      if (!sealed[l]) {
-        const bool ok = ln.exact ? cusum_below_int(ln.ibuf, ln.observed_scaled, ln.prefix_i32)
-                                 : cusum_below(ln.dbuf, ln.m, ln.observed);
-        if (ok) {
-          ++ln.below;
-        } else if (ln.r - ln.below >= ln.max_fail + 1) {
-          // Even if every remaining round lands below, the bar is missed.
-          decided = true;
-        }
-      }
-      ++ln.r;
-      if (!decided && ln.r == ln.rounds) {
-        decided = true;
-        accepted = static_cast<double>(ln.below) / ln.rounds >= ln.task->opt.confidence;
-      }
-      if (!decided) continue;
-      if (accepted) finish_accepted_lane(ln, scratch);
-      if (!fill_lane(ln, tasks, next, scratch)) --active;
-    }
-  }
 }
 
 std::vector<double> cusum_path(std::span<const double> v) {

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -72,6 +73,10 @@ struct ChangePointScratch {
   /// runs on scaled int32 values with identical decisions and a much
   /// shorter add-latency chain.
   std::vector<std::int32_t> shuffled_int;
+  /// Gather targets of a replayed bootstrap: round r's buffer is rebuilt
+  /// from the unshuffled one through the table's permutation r.
+  std::vector<double> replayed;
+  std::vector<std::int32_t> replayed_int;
   std::vector<std::size_t> found;   ///< accepted indices (sorted, unique)
   /// Per-span division magics for the bootstrap's Fisher-Yates draws
   /// (index = span): mod_magic[s] = ceil(2^64 / s), mod_limit[s] the
@@ -82,6 +87,53 @@ struct ChangePointScratch {
   std::vector<std::uint64_t> mod_limit;
 };
 
+/// Memo of top-level bootstrap shuffles.  A window's bootstrap draws depend
+/// only on (seed, length, rounds), never on its samples, and the TSLP
+/// pipeline derives the seed from the window's start index -- so every
+/// series of a campaign redraws the same few dozen shuffle streams.  An
+/// entry stores the cumulative Fisher-Yates index permutation after each
+/// round plus the generator state after the last one; a window replays it
+/// by gathering its own samples through permutation r, which reproduces the
+/// r-th reshuffled buffer exactly.
+///
+/// An entry is built on the *second* request for its key (a key seen once
+/// may never recur, and a window that fails after a dozen rounds should not
+/// pay for two hundred), and only while the byte budget lasts; every other
+/// request draws as before.  Entries are immutable once published, so any
+/// number of threads may share one table.
+class BootstrapTable {
+ public:
+  /// Bytes the process-wide table may hold: a month-long campaign's 56
+  /// day-long window keys take ~6.4 MB at 200 rounds.
+  static constexpr std::size_t kBudgetBytes = std::size_t{16} << 20;
+
+  explicit BootstrapTable(std::size_t budget_bytes);
+  ~BootstrapTable();
+  BootstrapTable(const BootstrapTable&) = delete;
+  BootstrapTable& operator=(const BootstrapTable&) = delete;
+
+  /// The table every detector path shares (budget kBudgetBytes).
+  static BootstrapTable& shared();
+
+  struct Stats {
+    std::uint64_t requests = 0;  ///< top-level bootstraps that needed rounds
+    std::uint64_t served = 0;    ///< of those, replayed from an entry
+    std::uint64_t entries = 0;   ///< published entries
+    std::size_t bytes = 0;       ///< budget charged (entries + key markers)
+  };
+  [[nodiscard]] Stats stats() const;
+
+  struct Entry;
+  /// The entry for a bootstrap of `n` samples and `rounds` rounds drawn
+  /// from `seed`, building it when this is the key's second request and
+  /// the budget allows; nullptr when the caller must draw.
+  const Entry* acquire(std::uint64_t seed, std::size_t n, int rounds);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
 /// Accepted change-point *indices* only: the same recursion as
 /// detect_change_points -- identical indices for identical input, options,
 /// and seed -- without the per-point confidence re-estimation and segment
@@ -89,31 +141,12 @@ struct ChangePointScratch {
 /// discards those, and the re-estimation repeats the full bootstrap per
 /// accepted point, so this is the hot-path entry (the bootstrap *decisions*
 /// replay the exact same RNG stream; only the discarded reporting work is
-/// skipped).  Returns a reference to scratch.found, valid until reuse.
-const std::vector<std::size_t>& detect_change_point_indices(std::span<const double> v,
-                                                            const CusumOptions& opt,
-                                                            ChangePointScratch& scratch);
-
-/// One window of a batched change-point run: the same contract as
-/// detect_change_point_indices (raw values + options in, sorted unique
-/// accepted indices out), expressed as a task so many windows can be
-/// submitted at once.
-struct ChangePointTask {
-  std::span<const double> v;       ///< raw window samples (rank transform applied internally)
-  CusumOptions opt;                ///< per-window seed already folded in
-  std::vector<std::size_t> found;  ///< out: accepted indices, sorted, unique
-};
-
-/// Batched detect_change_point_indices: each task's result is byte-identical
-/// to a standalone call with the same (v, opt), but the top-level bootstraps
-/// of up to four windows run with their draw streams interleaved.  Every
-/// window owns an independent generator (the caller perturbs the seed per
-/// window), so interleaving cannot change any stream -- it only overlaps the
-/// xoshiro latency chains of four windows, which is where the sequential
-/// path stalls.  Sub-segment recursion of accepted windows runs scalar, in
-/// task order.
-void detect_change_point_indices_batch(std::span<ChangePointTask> tasks,
-                                       ChangePointScratch& scratch);
+/// skipped).  The top-level bootstrap replays from `table` when it holds
+/// the window's key; recursion sub-segments always draw.  Returns a
+/// reference to scratch.found, valid until reuse.
+const std::vector<std::size_t>& detect_change_point_indices(
+    std::span<const double> v, const CusumOptions& opt, ChangePointScratch& scratch,
+    BootstrapTable& table = BootstrapTable::shared());
 
 /// Converts change points into level segments covering [0, n).
 std::vector<Segment> to_segments(std::span<const double> v, const std::vector<ChangePoint>& cps);

@@ -10,10 +10,13 @@
 
 namespace ixp::tslp {
 
-namespace detail {
+namespace {
 
-WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
-                          const LevelShiftOptions& opts, std::vector<double>& finite_buf) {
+// The darkness and quiet-spread gates of scan_window.
+detail::WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
+                                  const LevelShiftOptions& opts,
+                                  std::vector<double>& finite_buf) {
+  using detail::WindowOutcome;
   if (finite < opts.min_finite_window) return WindowOutcome::kDark;
   if (opts.skip_quiet_windows) {
     double lo = 0.0, hi = 0.0;
@@ -36,27 +39,10 @@ WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
   return WindowOutcome::kScanned;
 }
 
-// The per-window seed perturbation: every window gets an independent
-// bootstrap stream, which is also what lets the batch driver interleave
-// windows' draws.
-stats::CusumOptions window_cusum_options(const LevelShiftOptions& opts, std::size_t begin) {
-  stats::CusumOptions copt = opts.cusum;
-  copt.seed ^= begin * 0x9e3779b97f4a7c15ULL;  // distinct bootstrap streams
-  return copt;
-}
-
-WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std::size_t finite,
-                          const LevelShiftOptions& opts, stats::ChangePointScratch& cp,
-                          std::vector<double>& finite_buf, std::vector<std::size_t>& cps) {
-  const WindowOutcome gate = gate_window(chunk, finite, opts, finite_buf);
-  if (gate != WindowOutcome::kScanned) return gate;
-  const stats::CusumOptions copt = window_cusum_options(opts, begin);
-  for (const std::size_t idx : stats::detect_change_point_indices(chunk, copt, cp)) {
-    cps.push_back(begin + idx);
-  }
-  return WindowOutcome::kScanned;
-}
-
+// The preamble of detect_fast: validates the view, builds the finite
+// index, computes coverage / gaps / baseline, and derives the window size.
+// Returns false when detection ends here (empty series, coverage refusal,
+// or NaN baseline); `out` is then final.
 bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
                     DetectScratch& scratch, LevelShiftResult& out, std::size_t& win) {
   const std::span<const double> v = series.ms;
@@ -87,6 +73,26 @@ bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
   win = std::max<std::size_t>(
       2, static_cast<std::size_t>(opts.window.count() / series.interval.count()));
   return true;
+}
+
+}  // namespace
+
+namespace detail {
+
+WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std::size_t finite,
+                          const LevelShiftOptions& opts, stats::ChangePointScratch& cp,
+                          std::vector<double>& finite_buf, std::vector<std::size_t>& cps) {
+  const WindowOutcome gate = gate_window(chunk, finite, opts, finite_buf);
+  if (gate != WindowOutcome::kScanned) return gate;
+  // Every window start gets its own bootstrap stream, so equal-length
+  // windows at the same offset of every series share one -- the key the
+  // shared stats::BootstrapTable replays.
+  stats::CusumOptions copt = opts.cusum;
+  copt.seed ^= begin * 0x9e3779b97f4a7c15ULL;
+  for (const std::size_t idx : stats::detect_change_point_indices(chunk, copt, cp)) {
+    cps.push_back(begin + idx);
+  }
+  return WindowOutcome::kScanned;
 }
 
 void assemble_result(const SeriesView& series, const LevelShiftOptions& opts,
@@ -170,7 +176,7 @@ LevelShiftResult detect_fast(const SeriesView& series, const LevelShiftOptions& 
   LevelShiftResult out;
   const std::span<const double> v = series.ms;
   std::size_t win = 0;
-  if (!detail::prepare_series(series, opts, scratch, out, win)) return out;
+  if (!prepare_series(series, opts, scratch, out, win)) return out;
   scratch.cps.clear();
   for (std::size_t begin = 0; begin < v.size(); begin += win / 2) {
     const std::size_t end = std::min(begin + win, v.size());
@@ -211,75 +217,9 @@ std::vector<LevelShiftResult> detect_batch(const SeriesBatch& batch, const Level
     }
     return results;
   }
-
-  // Three-phase sweep, byte-identical to per-series detect_fast calls:
-  // gates and preambles first, then every surviving window of every series
-  // through the interleaved change-point driver in one submission, then the
-  // per-series assembly.  Phase B is where the time goes, and batching it
-  // lets four windows' bootstrap streams overlap instead of serializing on
-  // one generator's latency chain.
   DetectScratch scratch;
-
-  // One scanned window: which series it belongs to, where it starts, and
-  // whether detect_fast would append the window-end split candidate.
-  struct WindowRef {
-    std::size_t series;
-    std::size_t begin;
-    std::size_t end;
-    bool push_end;
-  };
-  std::vector<stats::ChangePointTask> tasks;
-  std::vector<WindowRef> refs;
-  std::vector<char> needs_assembly(batch.size(), 0);
-
-  for (std::size_t si = 0; si < batch.size(); ++si) {
-    const SeriesView series = batch.view(si);
-    LevelShiftResult out;
-    std::size_t win = 0;
-    if (!detail::prepare_series(series, opts, scratch, out, win)) {
-      results.push_back(std::move(out));
-      continue;
-    }
-    needs_assembly[si] = 1;
-    const std::span<const double> v = series.ms;
-    for (std::size_t begin = 0; begin < v.size(); begin += win / 2) {
-      const std::size_t end = std::min(begin + win, v.size());
-      const std::span<const double> chunk(v.data() + begin, end - begin);
-      const std::size_t finite = scratch.index.not_nan(begin, end);
-      switch (detail::gate_window(chunk, finite, opts, scratch.finite)) {
-        case detail::WindowOutcome::kDark:
-          ++out.windows_skipped_dark;
-          break;
-        case detail::WindowOutcome::kQuiet:
-          ++out.windows_skipped_quiet;
-          break;
-        case detail::WindowOutcome::kScanned:
-          ++out.windows_scanned;
-          tasks.push_back({chunk, detail::window_cusum_options(opts, begin), {}});
-          refs.push_back({si, begin, end, end < v.size()});
-          break;
-      }
-    }
-    results.push_back(std::move(out));
-  }
-
-  stats::detect_change_point_indices_batch(tasks, scratch.cp);
-
-  std::size_t ri = 0;
-  for (std::size_t si = 0; si < batch.size(); ++si) {
-    if (!needs_assembly[si]) continue;
-    const SeriesView series = batch.view(si);
-    // assemble_result reads the finite index for episode support and gap
-    // bridging; rebuild it for this series (phase A reused one scratch).
-    scratch.index.build(series.ms, std::max<std::size_t>(1, opts.gap_min_run));
-    scratch.cps.clear();
-    for (; ri < refs.size() && refs[ri].series == si; ++ri) {
-      for (const std::size_t idx : tasks[ri].found) {
-        scratch.cps.push_back(refs[ri].begin + idx);
-      }
-      if (refs[ri].push_end) scratch.cps.push_back(refs[ri].end);
-    }
-    detail::assemble_result(series, opts, scratch, results[si]);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    results.push_back(detect_fast(batch.view(i), opts, scratch));
   }
   return results;
 }

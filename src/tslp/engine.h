@@ -72,22 +72,9 @@ namespace detail {
 
 enum class WindowOutcome { kDark, kQuiet, kScanned };
 
-/// Just the darkness and quiet-spread gates of scan_window, no detection:
-/// the batch engine gates every window first, then hands the surviving
-/// windows to the change-point driver in one submission.
-WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
-                          const LevelShiftOptions& opts, std::vector<double>& finite_buf);
-
-/// The shared preamble of detect_fast and the batch sweep: validates the
-/// view, builds the finite index, computes coverage / gaps / baseline, and
-/// derives the window size.  Returns false when detection ends here (empty
-/// series, coverage refusal, or NaN baseline); `out` is then final.
-bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
-                    DetectScratch& scratch, LevelShiftResult& out, std::size_t& win);
-
 /// One analysis window: the darkness and quiet-spread skips, then
 /// change-point detection with the window's perturbed seed.  Accepted
-/// global indices are appended to `cps`.  Shared by the batch and online
+/// global indices are appended to `cps`.  Shared by the offline and online
 /// engines so a window is processed identically no matter when its samples
 /// arrived.  `finite` must be the chunk's not-NaN count.
 WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std::size_t finite,

@@ -194,6 +194,22 @@ inline bool cusum_i32_range_below(std::span<const std::int32_t> v, std::int64_t 
   return hi - lo < observed;
 }
 
+/// out[k] = base[idx[k]] for k < n: the replayed bootstrap's gather.  Pure
+/// data movement, so the vector path writes exactly what the loop does.
+inline void gather_i32(const std::int32_t* base, const std::uint16_t* idx, std::size_t n,
+                       std::int32_t* out) {
+  std::size_t k = 0;
+#if defined(__AVX2__)
+  for (; k + 8 <= n; k += 8) {
+    const __m256i at = _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + k)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k),
+                        _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), at, 4));
+  }
+#endif
+  for (; k < n; ++k) out[k] = base[idx[k]];
+}
+
 /// True when the implementation actually uses vector instructions (for
 /// bench metadata; the results are identical either way).
 constexpr bool vectorized() {

@@ -509,6 +509,17 @@ HttpRequest make_get(const std::string& target) {
   return req;
 }
 
+// "vp/link" of every congested verdict.
+std::set<std::string> verdict_set(const std::vector<analysis::VpCampaignResult>& results) {
+  std::set<std::string> out;
+  for (const auto& r : results) {
+    for (std::size_t k = 0; k < r.reports.size(); ++k) {
+      if (r.reports[k].congested()) out.insert(r.vp_name + "/" + r.series[k].key);
+    }
+  }
+  return out;
+}
+
 ServeOptions fast_daemon_options(int days, std::uint64_t rounds) {
   ServeOptions sopt;
   sopt.specs = analysis::make_all_vps();
@@ -657,15 +668,6 @@ TEST(ServeDaemon, ChaosUnderLoadReproducesTheBatchOracle) {
   EXPECT_EQ(served_score.fp, oracle_score.fp);
   EXPECT_EQ(served_score.fn, oracle_score.fn);
   EXPECT_EQ(served_score.tn, oracle_score.tn);
-  auto verdict_set = [&](const std::vector<analysis::VpCampaignResult>& results) {
-    std::set<std::string> out;
-    for (const auto& r : results) {
-      for (std::size_t k = 0; k < r.reports.size(); ++k) {
-        if (r.reports[k].congested()) out.insert(r.vp_name + "/" + r.series[k].key);
-      }
-    }
-    return out;
-  };
   EXPECT_EQ(verdict_set(daemon.passes()[0].results), verdict_set(oracle.results));
   EXPECT_TRUE(served_score.case_studies_ok());
   if (kChaosDays == 0) {
@@ -674,6 +676,34 @@ TEST(ServeDaemon, ChaosUnderLoadReproducesTheBatchOracle) {
     EXPECT_DOUBLE_EQ(served_score.recall(), 1.0);
     EXPECT_EQ(served_score.tp, 6u);
   }
+}
+
+// A looping daemon's memory stays flat: every pass keeps its entry and
+// wall clock, but only the last keeps per-VP results and a registry (the
+// earlier ones are already folded into the snapshot and registry()).
+TEST(ServeDaemon, KeepsOnlyTheLastPassResults) {
+  ServeDaemon daemon(fast_daemon_options(7, /*rounds=*/3));
+  std::string err;
+  ASSERT_EQ(daemon.run(&err), 0) << err;
+  const auto& passes = daemon.passes();
+  ASSERT_EQ(passes.size(), 3u);
+  for (std::size_t p = 0; p < passes.size(); ++p) {
+    SCOPED_TRACE("pass " + std::to_string(p + 1));
+    EXPECT_GT(passes[p].wall_seconds, 0.0);
+    const bool last = p + 1 == passes.size();
+    EXPECT_EQ(passes[p].results.empty(), !last);
+    EXPECT_EQ(passes[p].registry.empty(), !last);
+  }
+
+  // Fault-free passes all classify alike, so the kept results equal one
+  // batch fleet run.
+  analysis::FleetOptions batch;
+  batch.campaign.round_interval = kMinute * 30;
+  batch.campaign.duration_override = kDay * 7;
+  const analysis::FleetResult oracle = analysis::run_fleet(analysis::make_all_vps(), batch);
+  const auto served = verdict_set(passes.back().results);
+  EXPECT_FALSE(served.empty());
+  EXPECT_EQ(served, verdict_set(oracle.results));
 }
 
 // Deterministic shutdown: SIGTERM mid-flight lets the in-flight pass

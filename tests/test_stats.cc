@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "stats/changepoint.h"
@@ -254,6 +256,279 @@ TEST(ChangePoint, MinSegmentRespected) {
     EXPECT_GE(cp.index, 6u);
     EXPECT_LE(cp.index, v.size() - 6);
   }
+}
+
+// ---------------------------------------------------------------------------
+// BootstrapTable: a replayed top-level bootstrap decides exactly as a drawn
+// one, and the recursion after it continues from the same stream position.
+
+// Accepted indices from the draw path: a zero-budget table never builds.
+std::vector<std::size_t> drawn_indices(std::span<const double> v, const CusumOptions& opt) {
+  BootstrapTable none(0);
+  ChangePointScratch scratch;
+  return detect_change_point_indices(v, opt, scratch, none);
+}
+
+// Accepted indices with the top-level bootstrap replayed from `table`: the
+// first request for a key draws, the second builds and replays.
+std::vector<std::size_t> replayed_indices(std::span<const double> v, const CusumOptions& opt,
+                                          BootstrapTable& table) {
+  ChangePointScratch scratch;
+  const auto first = detect_change_point_indices(v, opt, scratch, table);
+  const auto served = table.stats().served;
+  const auto second = detect_change_point_indices(v, opt, scratch, table);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(table.stats().served, served + 1) << "the second request was not replayed";
+  return second;
+}
+
+std::vector<std::size_t> legacy_indices(std::span<const double> v, const CusumOptions& opt) {
+  std::vector<std::size_t> out;
+  for (const auto& cp : detect_change_points(v, opt)) out.push_back(cp.index);
+  return out;
+}
+
+// A window with up to three level shifts of random (often borderline)
+// size, optional NaN runs, and rounded samples so ranks carry ties.
+std::vector<double> random_window(Rng& rng, std::size_t n, bool nan_runs) {
+  std::vector<double> v(n);
+  double level = 20.0;
+  std::size_t next_shift = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == next_shift) {
+      level += rng.uniform(-3.0, 3.0);
+      next_shift = i + static_cast<std::size_t>(rng.uniform_int(6, static_cast<std::int64_t>(n)));
+    }
+    v[i] = std::round((level + rng.normal()) * 4.0) / 4.0;
+  }
+  if (nan_runs) {
+    const int runs = static_cast<int>(rng.uniform_int(1, 3));
+    for (int k = 0; k < runs; ++k) {
+      const auto at = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      const auto len = static_cast<std::size_t>(rng.uniform_int(1, 30));
+      for (std::size_t i = at; i < std::min(n, at + len); ++i) v[i] = kNaN;
+    }
+  }
+  return v;
+}
+
+TEST(BootstrapTable, ReplayMatchesDrawsOnRankWindowsWithNaNRuns) {
+  BootstrapTable table(BootstrapTable::kBudgetBytes);
+  Rng rng(2024);
+  int multi = 0;
+  for (int w = 0; w < 160; ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    const auto v = random_window(rng, 288, /*nan_runs=*/w % 2 == 0);
+    // Sixteen keys, ten windows each: entries built from one window's
+    // request serve windows with other samples.
+    CusumOptions opt;
+    opt.seed ^= static_cast<std::uint64_t>(w % 16) * 0x9e3779b97f4a7c15ULL;
+    const auto drawn = drawn_indices(v, opt);
+    EXPECT_EQ(drawn, legacy_indices(v, opt));
+    EXPECT_EQ(replayed_indices(v, opt, table), drawn);
+    if (drawn.size() >= 2) ++multi;
+  }
+  // The sweep must exercise the recursion after an accepted replay.
+  EXPECT_GT(multi, 20);
+}
+
+TEST(BootstrapTable, ReplayMatchesDrawsOnTheDoublePath) {
+  // use_ranks = false with non-dyadic samples: the exact-integer buffer is
+  // refused and the double buffer is gathered instead.
+  BootstrapTable table(BootstrapTable::kBudgetBytes);
+  Rng rng(77);
+  int accepted = 0;
+  for (int w = 0; w < 80; ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(12, 300));
+    auto v = random_window(rng, n, /*nan_runs=*/w % 3 == 0);
+    for (auto& x : v) x *= 0.1;
+    CusumOptions opt;
+    opt.use_ranks = false;
+    opt.seed = 0x1234 + static_cast<std::uint64_t>(w);
+    const auto drawn = drawn_indices(v, opt);
+    EXPECT_EQ(drawn, legacy_indices(v, opt));
+    EXPECT_EQ(replayed_indices(v, opt, table), drawn);
+    if (!drawn.empty()) ++accepted;
+  }
+  EXPECT_GT(accepted, 10);
+}
+
+TEST(BootstrapTable, ReplayMatchesDrawsAroundTwiceMinSegment) {
+  BootstrapTable table(BootstrapTable::kBudgetBytes);
+  Rng rng(5);
+  for (std::size_t n = 10; n <= 30; ++n) {
+    for (int rep = 0; rep < 4; ++rep) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " rep " + std::to_string(rep));
+      std::vector<double> v(n);
+      for (std::size_t i = 0; i < n; ++i) v[i] = (i < n / 2 ? 10.0 : 10.0 + rep) + rng.normal();
+      CusumOptions opt;
+      opt.seed = n * 31 + static_cast<std::uint64_t>(rep);
+      const auto drawn = drawn_indices(v, opt);
+      EXPECT_EQ(drawn, legacy_indices(v, opt));
+      if (n < 2 * opt.min_segment) {
+        // Too short to bootstrap: nothing is requested.
+        const auto before = table.stats().requests;
+        ChangePointScratch scratch;
+        EXPECT_TRUE(detect_change_point_indices(v, opt, scratch, table).empty());
+        EXPECT_EQ(table.stats().requests, before);
+      } else {
+        EXPECT_EQ(replayed_indices(v, opt, table), drawn);
+      }
+    }
+  }
+}
+
+// The below-count after each of the first k rounds, from the reporting
+// estimator (which never exits early and draws the same stream).
+std::vector<int> below_prefix(std::span<const double> v, const CusumOptions& opt) {
+  const std::vector<double> input = opt.use_ranks ? ranks(v) : std::vector<double>(v.begin(), v.end());
+  std::vector<int> out;
+  for (int k = 1; k <= opt.bootstrap_rounds; ++k) {
+    Rng rng(opt.seed);
+    out.push_back(static_cast<int>(std::lround(change_confidence(input, k, rng) * k)));
+  }
+  return out;
+}
+
+TEST(BootstrapTable, ReplayMatchesDrawsOnEveryExit) {
+  // 20 rounds at 0.95: acceptance needs 19 below, so it seals at round 19
+  // of 20 at the earliest; the failure exit comes max_fail + 2 exceedances
+  // in.
+  CusumOptions base;
+  base.bootstrap_rounds = 20;
+  const int max_fail = static_cast<int>(std::floor((1.0 - base.confidence) * base.bootstrap_rounds));
+  BootstrapTable table(BootstrapTable::kBudgetBytes);
+  Rng rng(99);
+  bool sealed_early = false, failed_early = false, failed_last = false;
+  for (int w = 0; w < 4000 && !(sealed_early && failed_early && failed_last); ++w) {
+    const auto v = random_window(rng, 60, /*nan_runs=*/false);
+    CusumOptions opt = base;
+    opt.seed = static_cast<std::uint64_t>(w) + 1;
+    const auto prefix = below_prefix(v, opt);
+    // Round (0-based) at which the drawn path seals or takes the failure
+    // exit, if it does.
+    int seal_at = -1, fail_at = -1;
+    for (int r = 0; r < opt.bootstrap_rounds && seal_at < 0 && fail_at < 0; ++r) {
+      const int below = prefix[static_cast<std::size_t>(r)];
+      if (below >= 19) {
+        seal_at = r;
+      } else if (r + 1 - below >= max_fail + 2) {
+        fail_at = r;
+      }
+    }
+    const bool is_seal_early = seal_at >= 0 && seal_at < opt.bootstrap_rounds - 1;
+    const bool is_fail_early = fail_at >= 0 && fail_at < 5;
+    // Rejected only once the last round is judged: the failure exit there,
+    // or no exit at all.
+    const bool is_fail_last =
+        fail_at == opt.bootstrap_rounds - 1 || (seal_at < 0 && fail_at < 0);
+    if (!(is_seal_early && !sealed_early) && !(is_fail_early && !failed_early) &&
+        !(is_fail_last && !failed_last)) {
+      continue;
+    }
+    sealed_early |= is_seal_early;
+    failed_early |= is_fail_early;
+    failed_last |= is_fail_last;
+    SCOPED_TRACE("window " + std::to_string(w));
+    const auto drawn = drawn_indices(v, opt);
+    EXPECT_EQ(drawn, legacy_indices(v, opt));
+    EXPECT_EQ(replayed_indices(v, opt, table), drawn);
+    if (is_seal_early) {
+      EXPECT_FALSE(drawn.empty());
+    } else {
+      EXPECT_TRUE(drawn.empty());
+    }
+  }
+  EXPECT_TRUE(sealed_early);
+  EXPECT_TRUE(failed_early);
+  EXPECT_TRUE(failed_last);
+}
+
+TEST(BootstrapTable, FirstRequestDrawsAndTheSecondBuilds) {
+  BootstrapTable table(BootstrapTable::kBudgetBytes);
+  Rng rng(3);
+  const auto v = random_window(rng, 288, /*nan_runs=*/false);
+  const CusumOptions opt;
+  const auto drawn = drawn_indices(v, opt);
+  ChangePointScratch scratch;
+  for (std::uint64_t call = 1; call <= 3; ++call) {
+    EXPECT_EQ(detect_change_point_indices(v, opt, scratch, table), drawn);
+    const auto st = table.stats();
+    EXPECT_EQ(st.requests, call);
+    EXPECT_EQ(st.served, call - 1);
+    EXPECT_EQ(st.entries, call == 1 ? 0u : 1u);
+    EXPECT_LE(st.bytes, BootstrapTable::kBudgetBytes);
+  }
+}
+
+TEST(BootstrapTable, SpentBudgetFallsBackToDrawing) {
+  // Room for one 288 x 200 entry (plus slack for bookkeeping), not two.
+  BootstrapTable table(288 * 200 * sizeof(std::uint16_t) + 4096);
+  Rng rng(4);
+  const auto a = random_window(rng, 288, /*nan_runs=*/false);
+  const auto b = random_window(rng, 288, /*nan_runs=*/true);
+  CusumOptions opt_a, opt_b;
+  opt_b.seed = opt_a.seed + 1;
+  ChangePointScratch scratch;
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_EQ(detect_change_point_indices(a, opt_a, scratch, table), drawn_indices(a, opt_a));
+    EXPECT_EQ(detect_change_point_indices(b, opt_b, scratch, table), drawn_indices(b, opt_b));
+  }
+  const auto st = table.stats();
+  EXPECT_EQ(st.requests, 6u);
+  EXPECT_EQ(st.entries, 1u);
+  EXPECT_EQ(st.served, 2u);  // key a's second and third requests
+  EXPECT_LE(st.bytes, 288 * 200 * sizeof(std::uint16_t) + 4096);
+}
+
+TEST(BootstrapTable, ConcurrentRequestsShareEntries) {
+  // Four threads walk the same keys (shared entries, racing builds) and
+  // their own keys (distinct entries); every answer matches the draw path.
+  struct Case {
+    std::vector<double> v;
+    CusumOptions opt;
+    std::vector<std::size_t> drawn;
+  };
+  constexpr int kThreads = 4;
+  Rng rng(8);
+  std::vector<Case> shared_cases;
+  std::vector<std::vector<Case>> own_cases(kThreads);
+  for (int k = 0; k < 6; ++k) {
+    Case c{random_window(rng, 288, k % 2 == 0), {}, {}};
+    c.opt.seed = 100 + static_cast<std::uint64_t>(k);
+    c.drawn = drawn_indices(c.v, c.opt);
+    shared_cases.push_back(std::move(c));
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < 3; ++k) {
+      Case c{random_window(rng, 200, false), {}, {}};
+      c.opt.seed = 1000 + static_cast<std::uint64_t>(t * 10 + k);
+      c.drawn = drawn_indices(c.v, c.opt);
+      own_cases[static_cast<std::size_t>(t)].push_back(std::move(c));
+    }
+  }
+  BootstrapTable table(BootstrapTable::kBudgetBytes);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ChangePointScratch scratch;
+      for (int pass = 0; pass < 4; ++pass) {
+        for (const auto* cases : {&shared_cases, &own_cases[static_cast<std::size_t>(t)]}) {
+          for (const auto& c : *cases) {
+            if (detect_change_point_indices(c.v, c.opt, scratch, table) != c.drawn) ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto st = table.stats();
+  EXPECT_EQ(st.requests, static_cast<std::uint64_t>(kThreads * 4 * (6 + 3)));
+  EXPECT_EQ(st.entries, 6u + kThreads * 3u);
+  EXPECT_GT(st.served, 0u);
 }
 
 // Quantile is monotone in q and bounded by min/max (property sweep).

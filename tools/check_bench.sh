@@ -36,8 +36,9 @@
 # online) with positive rates, and -- non-negotiably -- equivalent=true:
 # the fast paths must be byte-identical to the legacy detector.  When a
 # source dir is also supplied, the committed reference BENCH_tslp.json is
-# checked as well: full regional50 workload, equivalent, and the batch
-# engine at >= 3x the scalar baseline.  The reference record is a committed
+# checked as well: full regional50 workload, equivalent, the batch engine
+# at >= 3x the scalar baseline, and a positive host_cpus (both records
+# name the CPU count of the host that produced them).  The reference record is a committed
 # artifact, not a CI measurement, so asserting its speedup is safe.
 #
 # When a bench_serve binary is supplied, its smoke workload runs too: the
@@ -257,6 +258,9 @@ for e in engines:
 if record.get("equivalent") is not True:
     fail("tslp engines are not equivalent -- the fast path diverged "
          "from the legacy detector")
+host_cpus = record.get("host_cpus")
+if not (isinstance(host_cpus, int) and host_cpus >= 1):
+    fail(f"tslp record lacks a positive host_cpus: {host_cpus!r}")
 print("check_bench: tslp smoke OK")
 EOF
 [ $? -eq 0 ] || exit 1
@@ -338,6 +342,9 @@ if record.get("spec") != "regional50":
     fail(f"was not measured on the regional50 substrate ({record.get('spec')!r})")
 if record.get("equivalent") is not True:
     fail("records non-equivalent engines")
+host_cpus = record.get("host_cpus")
+if not (isinstance(host_cpus, int) and host_cpus >= 1):
+    fail(f"does not name its recording host's CPU count (host_cpus={host_cpus!r})")
 speedup = record.get("speedup_batch")
 if not (isinstance(speedup, (int, float)) and speedup >= 3.0):
     fail(f"batch speedup {speedup!r} is below the 3.0x acceptance bar")

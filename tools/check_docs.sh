@@ -166,13 +166,16 @@ fi
 # The committed record at the repo root is the reference TSLP-engine run;
 # the "TSLP fast path" section of ARCHITECTURE.md documents every field of
 # the afixp-bench-tslp/1 schema (including the nested engine-entry fields),
-# and documents no ghost fields.
+# and documents no ghost fields.  The record must carry host_cpus.
 arch="$src/docs/ARCHITECTURE.md"
 tslp_record="$src/BENCH_tslp.json"
 [ -r "$tslp_record" ] || err "BENCH_tslp.json does not exist at the repo root"
 if [ -r "$arch" ] && [ -r "$tslp_record" ]; then
     tslp_fields=$(grep -oE '"[a-z_]+":' "$tslp_record" | tr -d '":' | sort -u)
     [ -n "$tslp_fields" ] || err "no fields found in $tslp_record"
+    # A speed record says which host it was measured on.
+    echo "$tslp_fields" | grep -qx host_cpus ||
+        err "BENCH_tslp.json does not carry host_cpus (the recording host's CPU count)"
     tslp_section=$(sed -n '/^## The TSLP fast path/,/^## The continent-scale substrate/p' "$arch")
     [ -n "$tslp_section" ] || err "docs/ARCHITECTURE.md has no 'TSLP fast path' section"
     for f in $tslp_fields; do
