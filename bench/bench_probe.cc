@@ -1,16 +1,17 @@
 // Probe hot-path benchmark harness.
 //
 // Runs the simulator workloads in src/analysis/benchmarks.h (probe_fabric,
-// event_loop, campaign_six_vp, lp_islands) and writes BENCH_sim.json.
+// event_loop, campaign_six_vp) and writes BENCH_sim.json.
 // Fixed seeds and fixed probe counts keep runs comparable across PRs; see
 // the "Benchmark harness" section of README.md for how to compare against
 // the previous PR's numbers.  `afixp bench` is the same harness behind the
 // CLI; tools/check_bench.sh runs the smoke size from CTest.
 //
 //   bench_probe [--smoke] [--out BENCH_sim.json] [--only <name>] [--repeats N]
-//               [--metrics] [--sim-threads N]
+//               [--metrics]
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/benchmarks.h"
 #include "util/flags.h"
@@ -25,9 +26,6 @@ int main(int argc, char** argv) {
   flags.add_bool("metrics", false,
                  "collect campaign metrics during campaign_six_vp (measures "
                  "the observability overhead; default measures the disabled path)");
-  flags.add_int("sim-threads", 0,
-                "LP workers for the lp_islands serial-vs-parallel comparison "
-                "(0 = IXP_SIM_THREADS, else 8 -- the committed-record setup)");
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
     return 2;
@@ -42,8 +40,13 @@ int main(int argc, char** argv) {
   opt.only = flags.get_string("only");
   opt.repeats = static_cast<int>(flags.get_int("repeats"));
   opt.metrics = flags.get_bool("metrics");
-  opt.sim_threads = static_cast<int>(flags.get_int("sim-threads"));
-  const auto report = analysis::run_sim_benchmarks(opt, &std::cerr);
+  analysis::BenchReport report;
+  try {
+    report = analysis::run_sim_benchmarks(opt, &std::cerr);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bench_probe: " << e.what() << "\n";
+    return 2;
+  }
 
   const auto out_path = flags.get_string("out");
   if (out_path.empty()) {

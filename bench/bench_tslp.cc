@@ -4,7 +4,8 @@
 // with all three detector engines -- legacy scalar, structure-of-arrays
 // batch, and the online detector fed day-sized chunks -- and writes
 // BENCH_tslp.json: series classified per second for each engine, the
-// batch/scalar and online/scalar speedups, and the equivalence verdict
+// batch/scalar and online/scalar speedups (medians over interleaved
+// per-pass pairs, kept beside them), and the equivalence verdict
 // (all engines must produce byte-identical reports).  `afixp bench --tslp`
 // is the same harness behind the CLI; tools/check_bench.sh runs the smoke
 // size from CTest, validates the JSON, and gates the committed reference
@@ -25,7 +26,9 @@ int main(int argc, char** argv) {
   flags.add_string("spec", "regional50",
                    "topology-spec preset sizing the corpus (paper6, regional50, continent100)");
   flags.add_int("seed", 0, "override the preset's seed (0 = keep)");
-  flags.add_int("repeats", 1, "warm passes per engine (cold pass is always 1)");
+  flags.add_int("repeats", 3,
+                "warm passes per engine, at least 3: each is one interleaved "
+                "speedup pair (cold pass is always 1)");
   flags.add_string("out", "BENCH_tslp.json", "output JSON path (empty = stdout)");
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";

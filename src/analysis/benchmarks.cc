@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <ostream>
 #include <stdexcept>
@@ -9,7 +10,7 @@
 #include <bit>
 #include <cmath>
 
-#include <memory>
+#include <iterator>
 #include <thread>
 
 #include "analysis/africa.h"
@@ -17,8 +18,8 @@
 #include "analysis/fleet.h"
 #include "analysis/substrate.h"
 #include "obs/metrics.h"
-#include "sim/lp.h"
 #include "sim/network.h"
+#include "stats/descriptive.h"
 #include "tslp/classifier.h"
 #include "tslp/engine.h"
 #include "tslp/online.h"
@@ -252,247 +253,11 @@ BenchMeasurement bench_campaign(const BenchOptions& opt, std::ostream* log) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// lp_islands: the conservative LP scheduler vs the serial event loop over
-// the island-chain world (builder shared with tests/test_parallel_sim.cc).
-
-namespace {
-
-std::uint8_t oct(int v) { return static_cast<std::uint8_t>(v); }
-
-}  // namespace
-
-void build_island_world(IslandWorld& w, int islands, int members) {
-  w.islands = islands;
-  w.members = members;
-  w.vps.clear();
-  w.vp_addrs.clear();
-  w.far_addrs.clear();
-  w.net.seed(0x15a5eedULL);
-
-  sim::LinkConfig lan;
-  lan.capacity_bps = 1e9;
-  lan.prop_delay = milliseconds(0.1);  // sub-threshold: stays inside the island
-  sim::LinkConfig haul;
-  haul.capacity_bps = 1e9;
-  haul.prop_delay = milliseconds(10.0);  // the cut links; lookahead = 10 ms
-
-  std::vector<sim::Router*> borders;
-  for (int i = 0; i < islands; ++i) {
-    auto& vp = w.net.add_host(strformat("vp%d", i));
-    auto& border = w.net.add_router(strformat("border%d", i), {});
-    auto& fabric = w.net.add_switch(strformat("fabric%d", i));
-    const auto lan_subnet = *net::Ipv4Prefix::parse(strformat("172.16.%d.0/30", i));
-    const auto peering = *net::Ipv4Prefix::parse(strformat("196.60.%d.0/24", i));
-    const auto vp_addr = net::Ipv4Address(172, 16, oct(i), 2);
-    const auto border_lan = net::Ipv4Address(172, 16, oct(i), 1);
-    const auto border_fab = net::Ipv4Address(196, 60, oct(i), 1);
-    w.net.connect(vp.id(), vp_addr, border.id(), border_lan, lan, lan_subnet);
-    vp.set_gateway(0, border_lan);
-    w.net.connect(border.id(), border_fab, fabric.id(), {}, lan, peering);
-    border.add_route(lan_subnet, {0, {}});
-    border.add_route(peering, {1, {}});
-
-    std::vector<net::Ipv4Address> fars;
-    for (int m = 0; m < members; ++m) {
-      auto& member = w.net.add_router(strformat("r%d_%d", i, m), {});
-      const auto fab_addr = net::Ipv4Address(196, 60, oct(i), oct(10 + m));
-      w.net.connect(member.id(), fab_addr, fabric.id(), {}, lan, peering);
-      const auto far_subnet = *net::Ipv4Prefix::parse(strformat("10.%d.%d.0/30", i + 1, m));
-      const auto member_far = net::Ipv4Address(10, oct(i + 1), oct(m), 1);
-      const auto stub_addr = net::Ipv4Address(10, oct(i + 1), oct(m), 2);
-      auto& stub = w.net.add_host(strformat("h%d_%d", i, m));
-      w.net.connect(member.id(), member_far, stub.id(), stub_addr, lan, far_subnet);
-      stub.set_gateway(0, member_far);
-      member.add_route(peering, {0, {}});
-      member.add_route(far_subnet, {1, {}});
-      // Everything non-local funnels through the border; the member's own
-      // /30 wins by prefix length.
-      member.add_route(*net::Ipv4Prefix::parse("10.0.0.0/8"), {0, border_fab});
-      member.add_route(*net::Ipv4Prefix::parse("172.16.0.0/12"), {0, border_fab});
-      border.add_route(far_subnet, {1, fab_addr});
-      fars.push_back(stub_addr);
-    }
-    borders.push_back(&border);
-    w.vps.push_back(vp.id());
-    w.vp_addrs.push_back(vp_addr);
-    w.far_addrs.push_back(std::move(fars));
-  }
-
-  // Long-haul chain: border i <-> border i+1.  Link c's subnet is
-  // 192.168.c.0/30 with the left border at .1 and the right at .2.
-  for (int i = 0; i + 1 < islands; ++i) {
-    const auto chain_subnet = *net::Ipv4Prefix::parse(strformat("192.168.%d.0/30", i));
-    w.net.connect(borders[static_cast<std::size_t>(i)]->id(),
-                  net::Ipv4Address(192, 168, oct(i), 1),
-                  borders[static_cast<std::size_t>(i + 1)]->id(),
-                  net::Ipv4Address(192, 168, oct(i), 2), haul, chain_subnet);
-  }
-
-  // Inter-island aggregates along the chain.  Border i's interfaces are
-  // 0 = VP LAN, 1 = fabric, then the chain ports in link-creation order:
-  // the left chain port (from link i-1, when i > 0) lands at 2 and the
-  // right one (link i) at 3 -- or at 2 for the leftmost border.
-  for (int i = 0; i < islands; ++i) {
-    const int left_if = 2;
-    const int right_if = i == 0 ? 2 : 3;
-    for (int j = 0; j < islands; ++j) {
-      if (j == i) continue;
-      const bool go_right = j > i;
-      const int ifx = go_right ? right_if : left_if;
-      const auto nh = go_right ? net::Ipv4Address(192, 168, oct(i), 2)
-                               : net::Ipv4Address(192, 168, oct(i - 1), 1);
-      borders[static_cast<std::size_t>(i)]->add_route(
-          *net::Ipv4Prefix::parse(strformat("10.%d.0.0/16", j + 1)), {ifx, nh});
-      borders[static_cast<std::size_t>(i)]->add_route(
-          *net::Ipv4Prefix::parse(strformat("172.16.%d.0/30", j)), {ifx, nh});
-    }
-  }
-}
-
-IslandRunResult run_island_workload(IslandWorld& w, int pings_per_island, int threads,
-                                    obs::Registry* metrics) {
-  IslandRunResult res;
-  res.rtt_ns.assign(w.vps.size(), {});
-  // One RTT sink per island VP.  An island belongs to exactly one LP and
-  // an LP runs on one thread per window, so the pushes are single-writer
-  // in both modes and arrive in event order.
-  for (std::size_t i = 0; i < w.vps.size(); ++i) {
-    auto& host = static_cast<sim::Host&>(w.net.node(w.vps[i]));
-    auto* sink = &res.rtt_ns[i];
-    host.set_rx_callback([sink](const net::Packet& pkt, TimePoint at) {
-      sink->push_back((at - pkt.sent_at).count());
-    });
-  }
-  const std::uint64_t fwd0 = w.net.packets_forwarded;
-
-  std::unique_ptr<sim::LpScheduler> sched;
-  if (threads >= 1) sched = std::make_unique<sim::LpScheduler>(w.net, threads);
-
-  // Staggered sends: ping p of island i departs at p*gap + i*skew, which
-  // is unique over all (island, ping) pairs (skew * islands < gap), so no
-  // two cross-LP packets can ever tie on both arrival and send instants.
-  const Duration gap = std::chrono::microseconds(200);
-  const Duration skew = std::chrono::microseconds(1);
-  TimePoint last{};
-  for (int p = 0; p < pings_per_island; ++p) {
-    for (int i = 0; i < w.islands; ++i) {
-      const TimePoint at = TimePoint{} + gap * p + skew * i;
-      // Even pings stay intra-island; odd pings target the next island
-      // over the chain.  The last island has no right neighbor and stays
-      // local -- wrapping to island 0 would send its traffic across the
-      // whole chain, a pipeline whose one-hop-per-window drain serializes
-      // the run's tail.
-      const int tgt = (p % 2 == 0 || i + 1 >= w.islands) ? i : i + 1;
-      const auto dst = w.far_addrs[static_cast<std::size_t>(tgt)]
-                                  [static_cast<std::size_t>(p % w.members)];
-      const sim::NodeId vp = w.vps[static_cast<std::size_t>(i)];
-      const auto src = w.vp_addrs[static_cast<std::size_t>(i)];
-      sim::Network* netp = &w.net;
-      w.net.lp_schedule(vp, at, [netp, vp, src, dst, p]() {
-        net::Packet pkt;
-        pkt.src = src;
-        pkt.dst = dst;
-        pkt.ttl = 64;
-        pkt.icmp_type = net::IcmpType::kEchoRequest;
-        pkt.ident = 0x7a11;
-        pkt.seq = static_cast<std::uint16_t>(p);
-        pkt.sent_at = netp->active_sim().now();
-        static_cast<sim::Host&>(netp->node(vp)).send(*netp, pkt);
-      });
-      last = at;
-    }
-  }
-  // Wrap pings traverse up to the whole chain (~2 * islands * 10 ms round
-  // trip), so give the drain a generous horizon past the last send.
-  const TimePoint horizon = last + kSecond * 3;
-
-  const auto t0 = Clock::now();
-  if (sched) {
-    sched->run_until(horizon);
-    res.wall_seconds = elapsed_seconds(t0, Clock::now());
-    res.lps = sched->partition().count;
-    res.lp = sched->stats();
-    res.events = res.lp.total_events();
-    res.scheduled = res.lp.total_scheduled();
-    if (metrics != nullptr) sim::publish_lp_stats(*metrics, res.lp);
-    sched.reset();  // flush counters + detach before reading the totals
-  } else {
-    auto& s = w.net.simulator();
-    const std::uint64_t e0 = s.executed();
-    s.run_until(horizon);
-    res.wall_seconds = elapsed_seconds(t0, Clock::now());
-    res.events = s.executed() - e0;
-    res.scheduled = s.scheduled();
-  }
-  res.forwarded = w.net.packets_forwarded - fwd0;
-  return res;
-}
-
-namespace {
-
-BenchMeasurement bench_lp_islands(const BenchOptions& opt, std::ostream* log,
-                                  LpBenchRecord* lp) {
-  const int islands = opt.smoke ? 6 : 50;
-  const int members = opt.smoke ? 8 : 16;
-  const int pings = opt.smoke ? 250 : 1500;
-  // Default to the committed-record configuration (8 workers) unless the
-  // flag or the IXP_SIM_THREADS knob says otherwise.
-  int threads = sim::resolve_sim_threads(opt.sim_threads);
-  if (opt.sim_threads == 0 && threads <= 1) threads = 8;
-
-  IslandWorld serial_world;
-  build_island_world(serial_world, islands, members);
-  const auto serial = run_island_workload(serial_world, pings, /*threads=*/0);
-
-  IslandWorld lp_world;
-  build_island_world(lp_world, islands, members);
-  const auto par = run_island_workload(lp_world, pings, threads);
-
-  lp->present = true;
-  lp->spec = opt.smoke ? "paper6" : "regional50";
-  lp->threads = threads;
-  lp->lps = par.lps;
-  lp->host_cpus = static_cast<int>(std::thread::hardware_concurrency());
-  lp->serial_wall_seconds = serial.wall_seconds;
-  lp->lp_wall_seconds = par.wall_seconds;
-  lp->speedup = par.wall_seconds > 0 ? serial.wall_seconds / par.wall_seconds : 0.0;
-  lp->identical = serial.rtt_ns == par.rtt_ns && serial.events == par.events &&
-                  serial.forwarded == par.forwarded;
-  lp->windows = par.lp.windows;
-  lp->cross_messages = par.lp.cross_messages;
-  lp->events = serial.events;
-  if (log) {
-    *log << strformat(
-        "  lp_islands: %d islands x %d members, %d LPs / %d threads, "
-        "%llu events, %llu windows, %llu cross msgs, speedup %.2fx, %s\n",
-        islands, members, par.lps, threads,
-        static_cast<unsigned long long>(lp->events),
-        static_cast<unsigned long long>(lp->windows),
-        static_cast<unsigned long long>(lp->cross_messages), lp->speedup,
-        lp->identical ? "identical" : "DIVERGENT");
-  }
-
-  BenchMeasurement m;
-  m.name = "lp_islands";
-  m.unit = "events_per_sec";
-  m.items = serial.events;
-  m.wall_seconds = serial.wall_seconds + par.wall_seconds;
-  m.cold_per_sec = serial.wall_seconds > 0
-                       ? static_cast<double>(serial.events) / serial.wall_seconds
-                       : 0.0;  // serial baseline
-  m.warm_per_sec = par.wall_seconds > 0
-                       ? static_cast<double>(par.events) / par.wall_seconds
-                       : 0.0;  // LP run
-  return m;
-}
-
-}  // namespace
-
 BenchReport run_sim_benchmarks(const BenchOptions& opt, std::ostream* log) {
   BenchReport rep;
   rep.workload = opt.smoke ? "smoke" : "full";
   rep.seed = opt.seed;
+  rep.host_cpus = static_cast<int>(std::thread::hardware_concurrency());
 
   struct Entry {
     const char* name;
@@ -503,6 +268,10 @@ BenchReport run_sim_benchmarks(const BenchOptions& opt, std::ostream* log) {
       {"event_loop", &bench_event_loop},
       {"campaign_six_vp", &bench_campaign},
   };
+  if (!opt.only.empty() && std::none_of(std::begin(entries), std::end(entries),
+                                        [&](const Entry& e) { return opt.only == e.name; })) {
+    throw std::invalid_argument("unknown benchmark: " + opt.only);
+  }
   for (const auto& e : entries) {
     if (!opt.only.empty() && opt.only != e.name) continue;
     if (log) *log << "running " << e.name << " ...\n";
@@ -517,23 +286,15 @@ BenchReport run_sim_benchmarks(const BenchOptions& opt, std::ostream* log) {
       }
     }
   }
-  if (opt.only.empty() || opt.only == "lp_islands") {
-    if (log) *log << "running lp_islands ...\n";
-    rep.benches.push_back(bench_lp_islands(opt, log, &rep.lp));
-    if (log) {
-      const auto& m = rep.benches.back();
-      *log << strformat("  %-16s serial %10.0f /s   LP %12.0f /s   (%s)\n", m.name.c_str(),
-                        m.cold_per_sec, m.warm_per_sec, m.unit.c_str());
-    }
-  }
   return rep;
 }
 
 void write_bench_json(std::ostream& out, const BenchReport& rep) {
   out << "{\n";
-  out << "  \"schema\": \"afixp-bench-sim/2\",\n";
+  out << "  \"schema\": \"afixp-bench-sim/3\",\n";
   out << strformat("  \"workload\": \"%s\",\n", rep.workload.c_str());
   out << strformat("  \"seed\": %llu,\n", static_cast<unsigned long long>(rep.seed));
+  out << strformat("  \"host_cpus\": %d,\n", rep.host_cpus);
   out << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < rep.benches.size(); ++i) {
     const auto& m = rep.benches[i];
@@ -550,26 +311,7 @@ void write_bench_json(std::ostream& out, const BenchReport& rep) {
     out << strformat("      \"wall_seconds\": %.3f\n", m.wall_seconds);
     out << (i + 1 < rep.benches.size() ? "    },\n" : "    }\n");
   }
-  if (!rep.lp.present) {
-    out << "  ]\n";
-    out << "}\n";
-    return;
-  }
-  out << "  ],\n";
-  out << "  \"lp\": {\n";
-  out << strformat("    \"spec\": \"%s\",\n", rep.lp.spec.c_str());
-  out << strformat("    \"threads\": %d,\n", rep.lp.threads);
-  out << strformat("    \"lps\": %d,\n", rep.lp.lps);
-  out << strformat("    \"host_cpus\": %d,\n", rep.lp.host_cpus);
-  out << strformat("    \"serial_wall_seconds\": %.3f,\n", rep.lp.serial_wall_seconds);
-  out << strformat("    \"lp_wall_seconds\": %.3f,\n", rep.lp.lp_wall_seconds);
-  out << strformat("    \"speedup\": %.2f,\n", rep.lp.speedup);
-  out << strformat("    \"identical\": %s,\n", rep.lp.identical ? "true" : "false");
-  out << strformat("    \"windows\": %llu,\n", static_cast<unsigned long long>(rep.lp.windows));
-  out << strformat("    \"cross_messages\": %llu,\n",
-                   static_cast<unsigned long long>(rep.lp.cross_messages));
-  out << strformat("    \"events\": %llu\n", static_cast<unsigned long long>(rep.lp.events));
-  out << "  }\n";
+  out << "  ]\n";
   out << "}\n";
 }
 
@@ -652,6 +394,7 @@ SubstrateBenchReport run_substrate_benchmark(const topo::TopoSpec& spec_in,
           : 0.0;
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) == 0) rep.peak_rss_kb = ru.ru_maxrss;
+  rep.host_cpus = static_cast<int>(std::thread::hardware_concurrency());
   if (log) {
     *log << strformat(
         "  %llu links, %.0f link-rounds/s, %.1f B/link encoded (%.0fx vs raw), "
@@ -903,31 +646,35 @@ TslpBenchReport run_tslp_benchmark(const TslpBenchOptions& opt, std::ostream* lo
       {"batch", &tslp_run_batch},
       {"online", &tslp_run_online},
   };
-  const int passes = 1 + std::max(0, opt.repeats);
+  // Passes interleave the engines (scalar, batch, online, scalar, ...), so
+  // each warm pass times all three back to back under the same host
+  // conditions; each speedup is the median of its per-pass ratios.
+  const int warm_passes = std::max(kTslpSpeedupPairs, opt.repeats);
   std::vector<std::vector<tslp::LinkReport>> first_pass;
-  for (const auto& e : engines) {
-    if (log) *log << "running tslp " << e.name << " ...\n";
-    TslpEngineMeasurement m;
-    m.name = e.name;
-    for (int pass = 0; pass < passes; ++pass) {
+  std::vector<std::vector<double>> warm_seconds(std::size(engines));
+  for (const auto& e : engines) rep.engines.push_back(TslpEngineMeasurement{e.name});
+  for (int pass = 0; pass <= warm_passes; ++pass) {
+    for (std::size_t k = 0; k < std::size(engines); ++k) {
+      if (log) *log << strformat("running tslp %s (pass %d) ...\n", engines[k].name, pass);
+      TslpEngineMeasurement& m = rep.engines[k];
       const auto t0 = Clock::now();
-      auto reports = e.fn(corpus, copt);
+      auto reports = engines[k].fn(corpus, copt);
       const double sec = elapsed_seconds(t0, Clock::now());
       const double per_sec = sec > 0 ? static_cast<double>(rep.series) / sec : 0.0;
       m.wall_seconds += sec;
       if (pass == 0) {
         m.cold_series_per_sec = per_sec;
-        m.warm_series_per_sec = per_sec;
         first_pass.push_back(std::move(reports));
-      } else if (per_sec > m.warm_series_per_sec) {
-        m.warm_series_per_sec = per_sec;
+      } else {
+        m.warm_series_per_sec = std::max(m.warm_series_per_sec, per_sec);
+        warm_seconds[k].push_back(sec);
       }
     }
-    if (log) {
-      *log << strformat("  %-8s cold %10.1f series/s   warm %10.1f series/s\n", m.name.c_str(),
-                        m.cold_series_per_sec, m.warm_series_per_sec);
-    }
-    rep.engines.push_back(std::move(m));
+  }
+  for (const auto& m : rep.engines) {
+    if (!log) break;
+    *log << strformat("  %-8s cold %10.1f series/s   warm %10.1f series/s\n", m.name.c_str(),
+                      m.cold_series_per_sec, m.warm_series_per_sec);
   }
 
   // Equivalence: all three engines, byte-identical on every link.
@@ -946,12 +693,18 @@ TslpBenchReport run_tslp_benchmark(const TslpBenchOptions& opt, std::ostream* lo
     }
   }
 
-  rep.speedup_batch = rep.engines[0].warm_series_per_sec > 0
-                          ? rep.engines[1].warm_series_per_sec / rep.engines[0].warm_series_per_sec
-                          : 0.0;
-  rep.speedup_online = rep.engines[0].warm_series_per_sec > 0
-                           ? rep.engines[2].warm_series_per_sec / rep.engines[0].warm_series_per_sec
-                           : 0.0;
+  // Per-pair ratio = scalar seconds / engine seconds within one warm pass.
+  const auto pair_ratios = [&](std::size_t k) {
+    std::vector<double> r;
+    for (std::size_t p = 0; p < warm_seconds[k].size(); ++p) {
+      r.push_back(warm_seconds[k][p] > 0 ? warm_seconds[0][p] / warm_seconds[k][p] : 0.0);
+    }
+    return r;
+  };
+  rep.speedup_batch_pairs = pair_ratios(1);
+  rep.speedup_online_pairs = pair_ratios(2);
+  rep.speedup_batch = stats::median(rep.speedup_batch_pairs);
+  rep.speedup_online = stats::median(rep.speedup_online_pairs);
 
   // Detector telemetry, mirrored through the obs registry under the
   // campaign metric names so the bench reads the same counters the fleet
@@ -1007,8 +760,16 @@ void write_tslp_bench_json(std::ostream& out, const TslpBenchReport& rep) {
     out << (i + 1 < rep.engines.size() ? "    },\n" : "    }\n");
   }
   out << "  ],\n";
+  const auto ratio_list = [](const std::vector<double>& r) {
+    std::string s = "[";
+    for (std::size_t i = 0; i < r.size(); ++i) s += strformat(i ? ", %.2f" : "%.2f", r[i]);
+    return s + "]";
+  };
   out << strformat("  \"speedup_batch\": %.2f,\n", rep.speedup_batch);
+  out << strformat("  \"speedup_batch_pairs\": %s,\n", ratio_list(rep.speedup_batch_pairs).c_str());
   out << strformat("  \"speedup_online\": %.2f,\n", rep.speedup_online);
+  out << strformat("  \"speedup_online_pairs\": %s,\n",
+                   ratio_list(rep.speedup_online_pairs).c_str());
   out << strformat("  \"equivalent\": %s,\n", rep.equivalent ? "true" : "false");
   out << strformat("  \"episodes\": %llu,\n", static_cast<unsigned long long>(rep.episodes));
   out << strformat("  \"congested_links\": %llu,\n",
@@ -1043,7 +804,8 @@ void write_substrate_bench_json(std::ostream& out, const SubstrateBenchReport& r
   out << strformat("  \"bytes_per_link\": %.1f,\n", rep.bytes_per_link);
   out << strformat("  \"raw_bytes_per_link\": %.1f,\n", rep.raw_bytes_per_link);
   out << strformat("  \"compression_ratio\": %.1f,\n", rep.compression_ratio);
-  out << strformat("  \"peak_rss_kb\": %ld\n", rep.peak_rss_kb);
+  out << strformat("  \"peak_rss_kb\": %ld,\n", rep.peak_rss_kb);
+  out << strformat("  \"host_cpus\": %d\n", rep.host_cpus);
   out << "}\n";
 }
 

@@ -13,11 +13,6 @@
 //     Simulator's scheduling throughput (events/s).
 //   * campaign_six_vp -- the paper's six VP campaigns end to end at the
 //     5-minute cadence (the acceptance workload for probe-path PRs).
-//   * lp_islands     -- event-mode ping workload over a chain of IXP
-//     islands, run serially and again under the conservative LP scheduler
-//     (sim/lp.h); records the speedup and asserts the RTT bit patterns
-//     are identical (the determinism contract, also pinned by
-//     tests/test_parallel_sim.cc).
 //
 // Entry points: `afixp bench` and bench/bench_probe.cc; tools/check_bench.sh
 // runs the smoke size from CTest and validates the JSON.
@@ -28,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/lp.h"
 #include "topo/gen.h"
 #include "util/time.h"
 
@@ -48,10 +42,6 @@ struct BenchOptions {
   /// instrumentation-free path; check_bench.sh compares both settings to
   /// gate the metrics overhead.
   bool metrics = false;
-  /// LP worker count for the lp_islands benchmark: positive passes
-  /// through, 0 falls back to IXP_SIM_THREADS and then to 8 (the
-  /// committed-record configuration check_bench gates on).
-  int sim_threads = 0;
 };
 
 /// One benchmark's numbers.  `items` are probes (probe benches) or events
@@ -68,91 +58,20 @@ struct BenchMeasurement {
   double wall_seconds = 0.0;      ///< total across all passes
 };
 
-/// Serial-vs-LP comparison of the lp_islands workload.  `identical` is the
-/// determinism contract observed end to end: every island's RTT bit
-/// pattern from the LP run equals the serial run's.  check_bench.sh fails
-/// any record where it is false and gates the committed full record on
-/// speedup >= 1.5 at 8 threads.
-struct LpBenchRecord {
-  bool present = false;   ///< lp_islands ran (it respects --only)
-  std::string spec;       ///< island sizing label ("paper6" | "regional50")
-  int threads = 0;        ///< requested LP workers
-  int lps = 0;            ///< logical processes the partitioner produced
-  /// CPUs the recording host exposed (std::thread::hardware_concurrency).
-  /// check_bench.sh only applies the speedup floor when this shows real
-  /// parallelism was available; on a single-CPU host the record still
-  /// gates on `identical` but not on wall-clock scaling.
-  int host_cpus = 0;
-  double serial_wall_seconds = 0.0;
-  double lp_wall_seconds = 0.0;
-  double speedup = 0.0;   ///< serial_wall / lp_wall
-  bool identical = false; ///< RTT bit patterns byte-identical serial vs LP
-  std::uint64_t windows = 0;         ///< barrier windows (null-message rounds)
-  std::uint64_t cross_messages = 0;  ///< packets exchanged across LPs
-  std::uint64_t events = 0;          ///< events executed (same both runs)
-};
-
 struct BenchReport {
   std::string workload;  ///< "smoke" | "full"
   std::uint64_t seed = 0;
+  int host_cpus = 0;     ///< recording host's hardware concurrency
   std::vector<BenchMeasurement> benches;
-  LpBenchRecord lp;      ///< filled when lp_islands ran
 };
-
-// ---------------------------------------------------------------------------
-// Island-chain event world: the LP scheduler's reference workload, shared
-// by the lp_islands benchmark and tests/test_parallel_sim.cc.
-//
-// K islands, each a miniature IXP: a VP host behind a border router, the
-// border on a switching fabric with M member routers, and a stub host
-// behind every member.  Borders chain island i to island i+1 over 10 ms
-// long-haul links -- the only links at or above the island threshold, so
-// partition_network() discovers exactly K islands and a 10 ms lookahead.
-// The workload pings intra-island and next-island stub addresses with
-// unique per-(island, ping) send instants, which eliminates cross-LP
-// merge ties by construction (see sim/lp.h).
-
-struct IslandWorld {
-  sim::Network net;
-  int islands = 0;
-  int members = 0;
-  std::vector<sim::NodeId> vps;                          ///< VP host per island
-  std::vector<net::Ipv4Address> vp_addrs;                ///< VP address per island
-  std::vector<std::vector<net::Ipv4Address>> far_addrs;  ///< [island][member] stubs
-};
-
-/// Builds the world deterministically.  `islands` in [1, 250], `members`
-/// in [1, 200] (address-plan bounds).
-void build_island_world(IslandWorld& w, int islands, int members);
-
-/// One serial or LP execution of the ping workload.  `rtt_ns` holds, per
-/// island, every echo-reply RTT observed at that island's VP in arrival
-/// order -- the byte-identity witness (exact integer nanoseconds).
-struct IslandRunResult {
-  std::vector<std::vector<std::int64_t>> rtt_ns;
-  std::uint64_t events = 0;     ///< events executed across all simulators
-  std::uint64_t scheduled = 0;  ///< events scheduled across all simulators
-  std::uint64_t forwarded = 0;  ///< Network::packets_forwarded delta
-  double wall_seconds = 0.0;
-  int lps = 1;                  ///< logical processes used (1 = serial)
-  sim::LpRunStats lp;           ///< zero-valued for the serial run
-};
-
-/// Seeds `pings_per_island` staggered pings per island and runs them to
-/// completion: serially on the network's own simulator when `threads` <=
-/// 0, through an LpScheduler with that many workers otherwise (1 is the
-/// degenerate single-LP scheduler path).  When `metrics` is non-null and
-/// an LP run happened, publishes the LP stats into it.  One world, one
-/// run: build a fresh IslandWorld per execution.
-IslandRunResult run_island_workload(IslandWorld& w, int pings_per_island, int threads,
-                                    obs::Registry* metrics = nullptr);
 
 /// Runs the harness.  `log`, when non-null, receives one progress line per
-/// benchmark (human-readable; the JSON goes elsewhere).
+/// benchmark (human-readable; the JSON goes elsewhere).  Throws
+/// std::invalid_argument when `opt.only` names no benchmark.
 BenchReport run_sim_benchmarks(const BenchOptions& opt, std::ostream* log = nullptr);
 
 /// Serializes a report as the BENCH_sim.json document (schema
-/// "afixp-bench-sim/2"; see docs/ARCHITECTURE.md).
+/// "afixp-bench-sim/3"; see docs/ARCHITECTURE.md).
 void write_bench_json(std::ostream& out, const BenchReport& rep);
 
 // ---------------------------------------------------------------------------
@@ -197,6 +116,7 @@ struct SubstrateBenchReport {
   double raw_bytes_per_link = 0.0;
   double compression_ratio = 0.0;    ///< raw_bytes / resident_bytes
   long peak_rss_kb = 0;              ///< process peak RSS after the run
+  int host_cpus = 0;                 ///< recording host's hardware concurrency
 };
 
 /// Generates the substrate, runs the fleet (columnar store on), and
@@ -222,19 +142,26 @@ void write_substrate_bench_json(std::ostream& out, const SubstrateBenchReport& r
 // preset; see docs/SCALING.md for the presets) with all three detector
 // engines -- the legacy scalar pipeline, the structure-of-arrays batch
 // engine, and the online detector fed day-sized chunks -- and reports
-// series classified per second for each.  All three must produce
-// byte-identical reports (the `equivalent` field); check_bench.sh fails
-// the smoke run otherwise and gates the committed BENCH_tslp.json on
-// batch/scalar speedup >= 3x.  Entry points: `afixp bench --tslp` and
-// bench/bench_tslp.cc.
+// series classified per second for each.  The engines run interleaved,
+// one scalar/batch/online pair per warm pass, and each speedup is the
+// median of its per-pair ratios, so one noisy pass cannot make or break
+// the gate.  All three must produce byte-identical reports (the
+// `equivalent` field); check_bench.sh fails the smoke run otherwise and
+// gates the committed BENCH_tslp.json on batch/scalar speedup >= 3x.
+// Entry points: `afixp bench --tslp` and bench/bench_tslp.cc.
 
 struct TslpBenchOptions {
   /// CI-sized corpus (a 6-IXP spec over two days); what check_bench runs.
   bool smoke = false;
   std::string spec = "regional50";  ///< preset sizing the synthetic corpus
   std::uint64_t seed = 0;           ///< 0 = keep the preset's seed
-  int repeats = 1;                  ///< warm passes per engine (cold is always 1)
+  /// Warm passes per engine (cold is always 1); raised to
+  /// kTslpSpeedupPairs, because each warm pass is one speedup pair.
+  int repeats = 3;
 };
+
+/// Fewest interleaved warm passes the speedups are the median over.
+inline constexpr int kTslpSpeedupPairs = 3;
 
 /// One engine's throughput.  A "series" is one side of one monitored link
 /// (each link contributes a near and a far detection).
@@ -254,8 +181,11 @@ struct TslpBenchReport {
   std::uint64_t samples_per_series = 0;  ///< campaign rounds at the 5-min cadence
   std::uint64_t samples_total = 0;
   std::vector<TslpEngineMeasurement> engines;
-  double speedup_batch = 0.0;   ///< batch warm / scalar warm
-  double speedup_online = 0.0;  ///< online warm / scalar warm
+  double speedup_batch = 0.0;   ///< median of speedup_batch_pairs
+  double speedup_online = 0.0;  ///< median of speedup_online_pairs
+  /// Per warm pass: scalar seconds / engine seconds, in pass order.
+  std::vector<double> speedup_batch_pairs;
+  std::vector<double> speedup_online_pairs;
   /// All engines produced byte-identical reports on every link.
   bool equivalent = false;
   std::uint64_t episodes = 0;         ///< far+near episodes, batch engine

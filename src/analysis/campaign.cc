@@ -5,7 +5,6 @@
 
 #include "geo/dns_lite.h"
 #include "sim/faults.h"
-#include "sim/lp.h"
 #include "registry/registry.h"
 #include "tslp/engine.h"
 #include "tslp/online.h"
@@ -64,14 +63,6 @@ std::size_t VpCampaignResult::congested() const {
 VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const CampaignOptions& opt) {
   VpCampaignResult result;
   result.vp_name = spec.vp_name;
-
-  // Resolve the LP worker budget up front so a bad IXP_SIM_THREADS value
-  // surfaces here rather than mid-run.  The TSLP probe loop below is
-  // analytic -- it schedules no events -- so there is nothing for LP
-  // workers to execute and every resolved value produces byte-identical
-  // output (pinned by test_parallel_sim), and the fleet gives its whole
-  // worker budget to campaigns.
-  (void)sim::resolve_sim_threads(opt.sim_threads);
 
   const TimePoint start = spec.campaign_start;
   const TimePoint end = opt.duration_override.count() > 0

@@ -153,14 +153,6 @@ struct CampaignOptions {
   /// path -- the online detector is equivalence-pinned in test_tslp.cc --
   /// and the snapshot-window classifications are unaffected.
   bool online = false;
-  /// Logical-process worker budget for this campaign's simulator (see
-  /// sim/lp.h): positive = that many LP threads, 0 = the IXP_SIM_THREADS
-  /// env knob, unset knob = 1.  The TSLP probe loop is analytic (no
-  /// events), so campaign output is byte-identical for every value --
-  /// test_parallel_sim pins this; the fleet divides its --jobs budget by
-  /// the resolved value so fleet-level and intra-sim parallelism compose
-  /// under one thread budget.
-  int sim_threads = 0;
 };
 
 struct SnapshotResult {

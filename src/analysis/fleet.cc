@@ -133,8 +133,6 @@ FleetResult run_fleet(const std::vector<VpSpec>& specs, const FleetOptions& opt)
     out.metrics[i].vp_name = specs[i].vp_name;
     out.metrics[i].vp_index = i;
   }
-  // Campaigns never run LP workers (see run_campaign), so the whole budget
-  // goes to fleet workers whatever --sim-threads says.
   out.jobs_used = ThreadPool::resolve_jobs(opt.jobs, specs.size());
 
   const auto fleet_t0 = WallClock::now();

@@ -10,11 +10,10 @@ namespace ixp::sim {
 
 void Simulator::schedule_at(TimePoint at, Action action) {
   if (at < now_) {
-    // A past-time event is a causality violation: under LP execution it
-    // means a cross-partition message arrived behind the destination
-    // clock (the lookahead bound was wrong).  Fail loudly when the
-    // paranoid layer is on; clamp in release so legacy callers keep the
-    // historic "fire immediately" behaviour.
+    // A past-time event is a causality violation: the caller computed an
+    // arrival behind the clock, which is a bug in the caller.  Fail loudly
+    // when the paranoid layer is on; clamp in release so legacy callers
+    // keep the historic "fire immediately" behaviour.
     IXP_CHECK(at >= now_,
               strformat("schedule_at into the past: at=%lld ns, now=%lld ns, delta=%lld ns",
                         static_cast<long long>(at.ns()), static_cast<long long>(now_.ns()),
@@ -39,16 +38,6 @@ void Simulator::run_until(TimePoint until) {
     // events (the fast-path prober does); executing those overdue events
     // must never rewind now() -- schedule(delay) inside the action would
     // otherwise compute from a clock that already moved on.
-    now_ = std::max(now_, e.at);
-    ++executed_;
-    e.action();
-  }
-  if (now_ < until) now_ = until;
-}
-
-void Simulator::run_before(TimePoint until) {
-  while (!heap_.empty() && heap_.front().at < until) {
-    Entry e = pop_next();
     now_ = std::max(now_, e.at);
     ++executed_;
     e.action();

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "util/time.h"
@@ -21,9 +20,9 @@ class Simulator {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `action` to run at absolute time `at`.  Scheduling into the
-  /// past is a causality violation (in an LP world it means a message
-  /// arrived behind its destination's clock): under IXP_PARANOID it
-  /// check-fails with the offending delta; release builds clamp to now().
+  /// past is a causality violation and always a caller's bug: under
+  /// IXP_PARANOID it check-fails with the offending delta; release builds
+  /// clamp to now().
   void schedule_at(TimePoint at, Action action);
 
   /// Schedules `action` to run `delay` from now.
@@ -32,12 +31,6 @@ class Simulator {
   /// Runs events until the queue empties or the clock passes `until`.
   /// Events at exactly `until` are executed.
   void run_until(TimePoint until);
-
-  /// Runs events strictly before `until`, then advances the clock to
-  /// `until`.  This is the window primitive of the conservative LP
-  /// scheduler (sim/lp.h): a window [W, W+L) must leave events at exactly
-  /// W+L for the next window so every LP agrees on the cut.
-  void run_before(TimePoint until);
 
   /// Runs until the queue is empty.
   void run();
@@ -56,13 +49,6 @@ class Simulator {
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
   [[nodiscard]] std::uint64_t scheduled() const { return next_seq_; }
-
-  /// Time of the earliest pending event, or nullopt when idle.  The LP
-  /// scheduler idle-jumps over empty stretches with this.
-  [[nodiscard]] std::optional<TimePoint> next_event_at() const {
-    if (heap_.empty()) return std::nullopt;
-    return heap_.front().at;
-  }
 
  private:
   struct Entry {

@@ -67,14 +67,6 @@ class DuplexLink {
     return value_at(prop_steps_, prop_delay_, t);
   }
 
-  /// Lower bound on the propagation delay over all time: the LP
-  /// scheduler's lookahead must hold across every scheduled step.
-  [[nodiscard]] Duration min_prop_delay() const {
-    Duration m = prop_delay_;
-    for (const auto& [at, d] : prop_steps_) m = std::min(m, d);
-    return m;
-  }
-
   /// Extra one-way delay for the direction leaving `from` (route changes
   /// that affect only one direction; keeps the reverse path clean).
   /// Immediate form; clears scheduled steps for that direction.

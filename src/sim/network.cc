@@ -7,8 +7,6 @@
 
 namespace ixp::sim {
 
-constinit thread_local LpContext* Network::active_lp_ctx_ = nullptr;
-
 NodeId Network::add_node(std::unique_ptr<Node> node) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   node->set_id(id);
@@ -70,35 +68,23 @@ NodeId Network::find_owner(net::Ipv4Address addr) const {
 void Network::transmit(NodeId from, int ifindex, net::Packet pkt, net::Ipv4Address next_hop) {
   Node& sender = node(from);
   if (ifindex < 0 || ifindex >= static_cast<int>(sender.interfaces().size())) {
-    bump_dropped();
+    ++packets_dropped;
     return;
   }
   const Interface& ifc = sender.interfaces()[static_cast<std::size_t>(ifindex)];
   DuplexLink& l = link(ifc.link_id);
-  Simulator& sim = active_sim();
-  TimePoint t = sim.now();
+  TimePoint t = sim_.now();
   if (!cross_link(l, from, pkt.size_bytes, t)) return;  // drop already counted
   pkt.l2_next_hop = next_hop;
   const NodeId peer = l.other(from);
   const int peer_if = l.ifindex_at(peer);
-  LpContext* ctx = active_lp_ctx_;
-  if (ctx && lp_of_node_ &&
-      (*lp_of_node_)[static_cast<std::size_t>(peer)] != ctx->lp) {
-    // The peer lives in another logical process: buffer the crossing in
-    // the per-pair outbox.  The arrival is at least one lookahead past
-    // the current window, so exchanging at the barrier is safe.
-    const int dst = (*lp_of_node_)[static_cast<std::size_t>(peer)];
-    ctx->outbox[static_cast<std::size_t>(dst)].push_back(
-        LpMessage{t, sim.now(), ctx->out_seq++, ctx->lp, peer, peer_if, std::move(pkt)});
-    return;
-  }
-  sim.schedule_at(t, [this, peer, peer_if, pkt = std::move(pkt)]() mutable {
+  sim_.schedule_at(t, [this, peer, peer_if, pkt = std::move(pkt)]() mutable {
     node(peer).receive(*this, std::move(pkt), peer_if);
   });
 }
 
 void Network::deliver(NodeId to, net::Packet pkt, int in_ifindex, Duration delay) {
-  active_sim().schedule(delay, [this, to, in_ifindex, pkt = std::move(pkt)]() mutable {
+  sim_.schedule(delay, [this, to, in_ifindex, pkt = std::move(pkt)]() mutable {
     node(to).receive(*this, std::move(pkt), in_ifindex);
   });
 }
@@ -124,19 +110,19 @@ std::optional<Network::HopDecision> Network::route_at(NodeId at, net::Ipv4Addres
 
 bool Network::cross_link(DuplexLink& l, NodeId from, std::uint32_t size_bytes, TimePoint& t) {
   if (!l.is_up()) {
-    bump_dropped();
+    ++packets_dropped;
     return false;
   }
-  const std::optional<Duration> queued = l.queue_from(from).cross(t, size_bytes, active_rng());
+  const std::optional<Duration> queued = l.queue_from(from).cross(t, size_bytes, rng_);
   if (!queued) {
-    bump_dropped();
+    ++packets_dropped;
     return false;
   }
   // Delays are evaluated at the crossing instant `t`: a scheduled delay
   // step (link.h) taking effect later never rewrites this packet's
   // traversal, in either execution mode.
   t += *queued + l.prop_delay_at(t) + l.extra_delay_from(from, t);
-  bump_hops();
+  ++hops_walked;
   return true;
 }
 
@@ -277,7 +263,7 @@ ProbeResult Network::probe(NodeId from, const net::Packet& pkt, WalkPin& pin) {
 ProbeResult Network::execute(const ResolvedWalk& w, const net::Packet& pkt) {
   constexpr std::uint32_t kReplyBytes = 56;  // IP + ICMP + quoted header
   ProbeResult res;
-  const TimePoint sent = active_sim().now();
+  const TimePoint sent = sim_.now();
   TimePoint t = sent;
   const auto cross = [&](const WalkStep& s, std::uint32_t size_bytes) {
     if (s.router != nullptr) t += s.router->config().forward_delay;
@@ -307,7 +293,7 @@ ProbeResult Network::execute(const ResolvedWalk& w, const net::Packet& pkt) {
   } else {
     t += std::chrono::microseconds(50);  // host echo
   }
-  bump_icmp();
+  ++icmp_generated;
 
   for (const WalkStep& s : steps.subspan(w.reverse_begin)) {
     if (!cross(s, kReplyBytes)) {

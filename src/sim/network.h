@@ -34,41 +34,6 @@ namespace ixp::sim {
 /// budget runs out.
 inline constexpr int kWalkBudget = 255;
 
-/// One cross-partition event in flight between two logical processes:
-/// a packet that crossed a cut link and now belongs to the destination
-/// LP.  Buffered in the source LP's outbox until the next barrier, where
-/// the LP scheduler merges all inboxes in (arrival, sent, source LP,
-/// sequence) order -- see sim/lp.h for the determinism contract.
-struct LpMessage {
-  TimePoint at;        ///< arrival time at the destination node
-  TimePoint sent;      ///< source-LP clock when the packet crossed
-  std::uint64_t seq;   ///< per-source-LP monotone sequence number
-  int src_lp = 0;      ///< source LP (merge tie-break after at/sent)
-  NodeId to = kInvalidNode;
-  int ifindex = -1;
-  net::Packet pkt;
-};
-
-/// Per-logical-process execution state.  Each LP owns a Simulator, an
-/// independent RNG stream, private counter shadows of the Network-wide
-/// statistics (merged back in LP order after the run), and one outbox per
-/// destination LP.  Worker threads arm a thread-local pointer to their
-/// context before running a window, which routes every internal
-/// scheduling site through the LP's own simulator.  Cache-line aligned:
-/// the counter shadows are bumped once per event, and adjacent contexts
-/// sharing a line would false-share that traffic across workers.
-struct alignas(64) LpContext {
-  Simulator sim;
-  int lp = 0;
-  Rng rng{0};
-  std::uint64_t forwarded = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t icmp = 0;
-  std::uint64_t hops = 0;
-  std::uint64_t out_seq = 0;
-  std::vector<std::vector<LpMessage>> outbox;  ///< indexed by destination LP
-};
-
 /// Result of a fast-path probe.
 struct ProbeResult {
   bool answered = false;
@@ -119,47 +84,6 @@ class Network {
   Simulator& simulator() { return sim_; }
   Rng& rng() { return rng_; }
   void seed(std::uint64_t s) { rng_ = Rng(s); }
-
-  // ---- Logical-process execution (sim/lp.h drives these) ------------------
-
-  /// Attaches an LP partition: `lp_of_node` maps every node to its LP and
-  /// `ctxs` holds one context per LP.  Both stay owned by the caller (the
-  /// LpScheduler) and must outlive the attachment.
-  void attach_lp(const std::vector<int>* lp_of_node, std::vector<LpContext>* ctxs) {
-    lp_of_node_ = lp_of_node;
-    lp_ctxs_ = ctxs;
-  }
-  void detach_lp() {
-    lp_of_node_ = nullptr;
-    lp_ctxs_ = nullptr;
-  }
-  [[nodiscard]] bool lp_attached() const { return lp_ctxs_ != nullptr; }
-
-  /// Arms (or, with nullptr, disarms) the calling thread's LP context.
-  /// While armed, every internal scheduling site, RNG draw, and counter
-  /// bump lands in the context instead of the shared simulator.
-  static void arm_lp(LpContext* ctx) { active_lp_ctx_ = ctx; }
-
-  /// The simulator internal scheduling goes through: the armed LP's when a
-  /// worker thread runs a window, the shared one otherwise.
-  [[nodiscard]] Simulator& active_sim() {
-    return active_lp_ctx_ ? active_lp_ctx_->sim : sim_;
-  }
-
-  /// Seeds a workload event at absolute time `at` into the simulator that
-  /// owns `owner` -- the node's LP when a partition is attached, the
-  /// shared simulator otherwise.  Call from the main thread, in a
-  /// deterministic order, before running; identical workload code then
-  /// produces identical results serial and partitioned.
-  void lp_schedule(NodeId owner, TimePoint at, Simulator::Action action) {
-    if (lp_ctxs_ && lp_of_node_) {
-      (*lp_ctxs_)[static_cast<std::size_t>(
-                      (*lp_of_node_)[static_cast<std::size_t>(owner)])]
-          .sim.schedule_at(at, std::move(action));
-    } else {
-      sim_.schedule_at(at, std::move(action));
-    }
-  }
 
   // ---- Event-mode transport ----------------------------------------------
 
@@ -217,30 +141,6 @@ class Network {
   friend class Router;
   friend class Host;
   friend class L2Switch;
-  friend class LpScheduler;
-
-  // Counter bumps route to the armed LP's private shadow during a window
-  // (the public totals are merged back in LP order after the run, so the
-  // sums stay byte-identical to the serial tally).
-  void bump_forwarded() {
-    if (active_lp_ctx_) ++active_lp_ctx_->forwarded; else ++packets_forwarded;
-  }
-  void bump_dropped() {
-    if (active_lp_ctx_) ++active_lp_ctx_->dropped; else ++packets_dropped;
-  }
-  void bump_icmp() {
-    if (active_lp_ctx_) ++active_lp_ctx_->icmp; else ++icmp_generated;
-  }
-  void bump_hops() {
-    if (active_lp_ctx_) ++active_lp_ctx_->hops; else ++hops_walked;
-  }
-
-  /// RNG for loss draws: the armed LP's independent stream during a
-  /// window, the shared network stream otherwise.  Loss-free event
-  /// workloads never draw, which is what makes LP runs byte-identical to
-  /// serial ones; lossy event workloads are deterministic per (plan,
-  /// thread count) but not across thread counts.
-  [[nodiscard]] Rng& active_rng() { return active_lp_ctx_ ? active_lp_ctx_->rng : rng_; }
 
   /// Fast-path hop decision shared with event mode: where does `pkt` go
   /// from `at` given FIBs; returns false if unroutable.
@@ -315,14 +215,6 @@ class Network {
   std::unordered_map<net::Ipv4Address, NodeId> addr_owner_;
   Simulator sim_;
   Rng rng_{0xabcdef12345ULL};
-
-  // LP attachment (null when running serially).  The map and contexts are
-  // owned by the LpScheduler; the thread-local is armed per worker thread
-  // for the duration of one window.  constinit keeps the access wrapper-free
-  // (no dynamic-init guard on the hot counter path).
-  const std::vector<int>* lp_of_node_ = nullptr;
-  std::vector<LpContext>* lp_ctxs_ = nullptr;
-  static constinit thread_local LpContext* active_lp_ctx_;
 };
 
 }  // namespace ixp::sim

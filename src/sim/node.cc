@@ -38,7 +38,7 @@ bool Router::icmp_rate_admit(TimePoint t) {
 
 void Router::emit_icmp(Network& net, const net::Packet& cause, net::IcmpType type,
                        net::Ipv4Address from, int /*in_ifindex*/) {
-  const TimePoint t = net.active_sim().now();
+  const TimePoint t = net.sim_.now();
   if (cfg_.icmp_disabled || !icmp_rate_admit(t)) return;
   net::Packet reply;
   reply.src = from;
@@ -63,10 +63,10 @@ void Router::emit_icmp(Network& net, const net::Packet& cause, net::IcmpType typ
     reply.record_route = cause.record_route;
     reply.route_stamps = cause.route_stamps;
   }
-  net.bump_icmp();
+  ++net.icmp_generated;
   const Duration delay = icmp_generation_delay(t);
   const NodeId self = id();
-  net.active_sim().schedule(delay, [&net, self, reply]() mutable {
+  net.sim_.schedule(delay, [&net, self, reply]() mutable {
     // Route the reply like any other locally-originated packet.
     auto& me = static_cast<Router&>(net.node(self));
     me.forward(net, reply);
@@ -76,7 +76,7 @@ void Router::emit_icmp(Network& net, const net::Packet& cause, net::IcmpType typ
 void Router::forward(Network& net, net::Packet pkt) {
   const auto* entry = route_lookup(pkt.dst);
   if (!entry || entry->ifindex < 0 || entry->ifindex >= static_cast<int>(interfaces_.size())) {
-    net.bump_dropped();
+    ++net.packets_dropped;
     return;
   }
   if (pkt.record_route &&
@@ -84,14 +84,14 @@ void Router::forward(Network& net, net::Packet pkt) {
     pkt.route_stamps.push_back(interfaces_[static_cast<std::size_t>(entry->ifindex)].addr);
   }
   const net::Ipv4Address nh = entry->next_hop.is_unspecified() ? pkt.dst : entry->next_hop;
-  net.bump_forwarded();
+  ++net.packets_forwarded;
   net.transmit(id(), entry->ifindex, std::move(pkt), nh);
 }
 
 void Router::receive(Network& net, net::Packet pkt, int in_ifindex) {
   // Record-route filtering drops optioned packets outright.
   if (cfg_.rr_filtered && pkt.record_route) {
-    net.bump_dropped();
+    ++net.packets_dropped;
     return;
   }
   // Addressed to one of my interfaces: control-plane processing.
@@ -113,7 +113,7 @@ void Router::receive(Network& net, net::Packet pkt, int in_ifindex) {
   }
   pkt.ttl -= 1;
   const NodeId self = id();
-  net.active_sim().schedule(cfg_.forward_delay, [&net, self, pkt = std::move(pkt)]() mutable {
+  net.sim_.schedule(cfg_.forward_delay, [&net, self, pkt = std::move(pkt)]() mutable {
     static_cast<Router&>(net.node(self)).forward(net, std::move(pkt));
   });
 }
@@ -123,7 +123,7 @@ void Router::receive(Network& net, net::Packet pkt, int in_ifindex) {
 
 void Host::receive(Network& net, net::Packet pkt, int /*in_ifindex*/) {
   if (!owns_address(pkt.dst)) return;  // not for us; hosts do not forward
-  if (rx_) rx_(pkt, net.active_sim().now());
+  if (rx_) rx_(pkt, net.sim_.now());
   if (pkt.icmp_type == net::IcmpType::kEchoRequest) {
     net::Packet reply;
     reply.src = pkt.dst;
@@ -140,7 +140,7 @@ void Host::receive(Network& net, net::Packet pkt, int /*in_ifindex*/) {
     const int gw_if = gw_ifindex_;
     net::Ipv4Address nh = gateway_;
     if (!interfaces_.empty() && interfaces_[0].subnet.contains(reply.dst)) nh = reply.dst;
-    net.active_sim().schedule(reply_delay_, [&net, self, gw_if, nh, reply]() mutable {
+    net.sim_.schedule(reply_delay_, [&net, self, gw_if, nh, reply]() mutable {
       net.transmit(self, gw_if, std::move(reply), nh);
     });
   }
@@ -159,12 +159,12 @@ void L2Switch::receive(Network& net, net::Packet pkt, int /*in_ifindex*/) {
   const net::Ipv4Address key = pkt.l2_next_hop.is_unspecified() ? pkt.dst : pkt.l2_next_hop;
   const L2Port* entry = lookup(key);
   if (entry == nullptr) {
-    net.bump_dropped();
+    ++net.packets_dropped;
     return;
   }
   const NodeId self = id();
   const int port = entry->ifindex;
-  net.active_sim().schedule(latency_, [&net, self, port, pkt = std::move(pkt)]() mutable {
+  net.sim_.schedule(latency_, [&net, self, port, pkt = std::move(pkt)]() mutable {
     net.transmit(self, port, std::move(pkt), pkt.l2_next_hop);
   });
 }

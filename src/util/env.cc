@@ -18,7 +18,6 @@ const std::vector<Knob> kKnobs = {
     {"IXP_ROUND_MINUTES", "probe round interval in minutes for bench/example drivers"},
     {"IXP_FAST", "shrink bench/example campaigns for smoke runs (any value but 0)"},
     {"IXP_JOBS", "default worker count for --jobs when the flag is absent"},
-    {"IXP_SIM_THREADS", "default intra-simulation LP worker count for --sim-threads when the flag is 0/absent"},
     {"IXP_PARANOID", "enable expensive IXP_CHECK invariants (any value but 0)"},
     {"IXP_FAULT_PLAN", "default fault-plan spec for the chaos subcommand"},
     {"IXP_METRICS", "default --metrics-out path for metrics-capable subcommands"},

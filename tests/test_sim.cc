@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "prober/tslp_driver.h"
 #include "sim/network.h"
@@ -52,6 +54,65 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
+TEST(Simulator, RunUntilRunsEventsAtExactlyUntil) {
+  Simulator sim;
+  std::vector<int> order;
+  const TimePoint until(kSecond * 2);
+  sim.schedule_at(until, [&] {
+    order.push_back(1);
+    // Scheduled during the run, still at the boundary: it runs too.
+    sim.schedule_at(until, [&] { order.push_back(2); });
+  });
+  sim.schedule_at(until + Duration(1), [&] { order.push_back(3); });
+  sim.run_until(until);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.now(), until);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, RunUntilOnEmptyQueueAdvancesClock) {
+  Simulator sim;
+  sim.run_until(TimePoint(kMinute));
+  EXPECT_EQ(sim.now(), TimePoint(kMinute));
+  EXPECT_EQ(sim.executed(), 0u);
+  EXPECT_EQ(sim.scheduled(), 0u);
+}
+
+// A shuffled bulk push with many repeated timestamps drains in (time,
+// schedule order), and the three counters agree at every stage.
+TEST(Simulator, ShuffledBulkPushDrainsInTimeThenScheduleOrder) {
+  constexpr int kEvents = 1000;
+  constexpr int kDistinctTimes = 37;
+  std::vector<int> slot(kEvents);
+  for (int i = 0; i < kEvents; ++i) slot[static_cast<std::size_t>(i)] = i % kDistinctTimes;
+  Rng rng(7);
+  std::shuffle(slot.begin(), slot.end(), rng);
+
+  Simulator sim;
+  std::vector<std::pair<TimePoint, int>> fired;  // (fire time, schedule index)
+  for (int i = 0; i < kEvents; ++i) {
+    const TimePoint at(kMillisecond * slot[static_cast<std::size_t>(i)]);
+    sim.schedule_at(at, [&sim, &fired, i] { fired.emplace_back(sim.now(), i); });
+  }
+  EXPECT_EQ(sim.pending(), static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(sim.scheduled(), static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(sim.executed(), 0u);
+
+  sim.run_until(TimePoint(kMillisecond * (kDistinctTimes / 2)));
+  EXPECT_EQ(sim.pending() + sim.executed(), sim.scheduled());
+  EXPECT_EQ(fired.size(), sim.executed());
+
+  sim.run();
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kEvents));
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  for (const auto& [at, i] : fired) {
+    EXPECT_EQ(at, TimePoint(kMillisecond * slot[static_cast<std::size_t>(i)]));
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.executed(), static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(sim.scheduled(), static_cast<std::uint64_t>(kEvents));
+}
+
 TEST(Simulator, NestedScheduling) {
   Simulator sim;
   int depth = 0;
@@ -95,12 +156,12 @@ TEST(Simulator, ClearResetsState) {
   EXPECT_EQ(sim.executed(), 1u);
 }
 
-// Scheduling into the past is a causality violation (in an LP world it
-// means a cross-partition message arrived behind its destination's
-// clock).  Under IXP_PARANOID it must check-fail with the offending
-// delta; with checks off it keeps the historic clamp-to-now behaviour.
-// Regression: schedule_at used to clamp silently in every build, which
-// let a broken lookahead bound corrupt results instead of aborting.
+// Scheduling into the past is a causality violation: the caller computed
+// an arrival behind the clock, which is a bug in the caller.  Under
+// IXP_PARANOID it must check-fail with the offending delta; with checks
+// off it keeps the historic clamp-to-now behaviour.  Regression:
+// schedule_at used to clamp silently in every build, which let such a bug
+// corrupt results instead of aborting.
 TEST(SimulatorDeathTest, PastTimeScheduleFailsUnderParanoid) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The child process re-executes this test and inherits the environment,

@@ -33,6 +33,7 @@
 #include <fstream>
 #include <iostream>
 #include <set>
+#include <stdexcept>
 
 #include "analysis/africa.h"
 #include "analysis/benchmarks.h"
@@ -69,9 +70,6 @@ constexpr const char* kEnvHelp =
     "  IXP_JOBS           default worker-thread count for fleet runs when\n"
     "                     --jobs is 0/absent (else hardware concurrency,\n"
     "                     clamped to the number of campaigns)\n"
-    "  IXP_SIM_THREADS    default LP worker count inside each simulation when\n"
-    "                     --sim-threads is 0/absent (unset = 1, i.e. serial);\n"
-    "                     campaigns run no LP workers, so --jobs is unaffected\n"
     "  IXP_PARANOID       when set (and not 0), enable the runtime invariant\n"
     "                     checks (episode ordering, fluid-queue backlog\n"
     "                     bounds, series indexing) in every component\n"
@@ -109,9 +107,6 @@ int cmd_campaign(int argc, const char* const* argv) {
   flags.add_int("vp", 1, "vantage point 1..6 (GIXA, TIX, JINX, SIXP, KIXP, RINEX)");
   flags.add_int("days", 60, "campaign length in days (0 = the paper's full calendar)");
   flags.add_int("round-minutes", 15, "TSLP probing cadence");
-  flags.add_int("sim-threads", 0,
-                "LP workers inside the simulation (0 = IXP_SIM_THREADS, else 1); "
-                "output is byte-identical for every value");
   flags.add_string("out", "", "warts-lite capture path (empty = no capture)");
   flags.add_string("report", "", "Markdown report path (empty = stdout summary only)");
   flags.add_string("metrics-out", "",
@@ -134,7 +129,6 @@ int cmd_campaign(int argc, const char* const* argv) {
   auto rt = analysis::build_scenario(spec);
   analysis::CampaignOptions opt;
   opt.round_interval = kMinute * flags.get_int("round-minutes");
-  opt.sim_threads = static_cast<int>(flags.get_int("sim-threads"));
   if (flags.get_int("days") > 0) opt.duration_override = kDay * flags.get_int("days");
   obs::Registry metrics_reg;
   const std::string metrics_out = resolve_metrics_out(flags);
@@ -210,9 +204,6 @@ int cmd_tables(int argc, const char* const* argv) {
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
-  flags.add_int("sim-threads", 0,
-                "LP workers inside each campaign's simulation (0 = IXP_SIM_THREADS, "
-                "else 1); output is byte-identical");
   flags.add_string("report", "", "write the combined multi-VP Markdown report here");
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (default IXP_METRICS; empty = off); "
@@ -234,7 +225,6 @@ int cmd_tables(int argc, const char* const* argv) {
   fopt.campaign.round_interval = kMinute * flags.get_int("round-minutes");
   if (flags.get_bool("fast")) fopt.campaign.duration_override = kDay * 42;
   fopt.jobs = static_cast<int>(flags.get_int("jobs"));
-  fopt.campaign.sim_threads = static_cast<int>(flags.get_int("sim-threads"));
   analysis::FleetStatusPrinter status(std::cerr, specs);
   fopt.on_progress = [&status](const analysis::CampaignMetrics& m) { status(m); };
   auto fleet = analysis::run_fleet(specs, fopt);
@@ -295,11 +285,8 @@ int cmd_bench(int argc, const char* const* argv) {
   flags.add_string("out", "BENCH_sim.json", "output JSON path (empty = stdout; "
                    "defaults to BENCH_tslp.json under --tslp)");
   flags.add_string("only", "", "run only the named benchmark (probe_fabric, "
-                   "event_loop, campaign_six_vp, lp_islands)");
+                   "event_loop, campaign_six_vp)");
   flags.add_int("repeats", 3, "warm passes per micro-benchmark");
-  flags.add_int("sim-threads", 0,
-                "LP workers for the lp_islands benchmark (0 = IXP_SIM_THREADS, "
-                "else 8 for the committed record)");
   flags.add_bool("metrics", false,
                  "collect observability registries during campaign_six_vp (the "
                  "reference numbers keep this off; check_bench gates the overhead)");
@@ -348,8 +335,13 @@ int cmd_bench(int argc, const char* const* argv) {
   opt.only = flags.get_string("only");
   opt.repeats = static_cast<int>(flags.get_int("repeats"));
   opt.metrics = flags.get_bool("metrics");
-  opt.sim_threads = static_cast<int>(flags.get_int("sim-threads"));
-  const auto report = analysis::run_sim_benchmarks(opt, &std::cerr);
+  analysis::BenchReport report;
+  try {
+    report = analysis::run_sim_benchmarks(opt, &std::cerr);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "afixp bench: " << e.what() << "\n";
+    return 2;
+  }
   const auto out_path = flags.get_string("out");
   if (out_path.empty()) {
     analysis::write_bench_json(std::cout, report);
@@ -375,9 +367,6 @@ int cmd_chaos(int argc, const char* const* argv) {
   flags.add_int("days", 0, "campaign length in days (0 = full; overrides --fast)");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
-  flags.add_int("sim-threads", 0,
-                "LP workers inside each campaign's simulation (0 = IXP_SIM_THREADS, "
-                "else 1); output is byte-identical");
   flags.add_bool("list-plans", false, "list the built-in fault plans and exit");
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (default IXP_METRICS; empty = off)");
@@ -427,7 +416,6 @@ int cmd_chaos(int argc, const char* const* argv) {
     fopt.campaign.duration_override = kDay * 42;
   }
   fopt.jobs = static_cast<int>(flags.get_int("jobs"));
-  fopt.campaign.sim_threads = static_cast<int>(flags.get_int("sim-threads"));
   fopt.fault_plan = &plan->faults;
   fopt.fault_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   analysis::FleetStatusPrinter status(std::cerr, specs);
@@ -526,9 +514,6 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
   flags.add_bool("columnar", false, "columnar RTT storage (recommended for substrates)");
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
-  flags.add_int("sim-threads", 0,
-                "LP workers inside each campaign's simulation (0 = IXP_SIM_THREADS, "
-                "else 1); output is byte-identical");
   flags.add_string("metrics-out", "",
                    "shutdown metrics flush path (default IXP_METRICS; empty = off)");
   if (!flags.parse(argc, argv)) {
@@ -589,7 +574,6 @@ int cmd_serve(int argc, const char* const* argv) {
     sopt.campaign.duration_override = kDay * 42;
   }
   sopt.campaign.columnar = flags.get_bool("columnar");
-  sopt.campaign.sim_threads = static_cast<int>(flags.get_int("sim-threads"));
   sopt.jobs = static_cast<int>(flags.get_int("jobs"));
   sopt.port = static_cast<int>(flags.get_int("port"));
   sopt.http_threads = static_cast<int>(flags.get_int("http-threads"));
@@ -650,9 +634,6 @@ int cmd_gen(int argc, const char* const* argv) {
   flags.add_int("days", 0, "override the campaign length in days (0 = the spec's)");
   flags.add_int("round-minutes", 5, "TSLP probing cadence");
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
-  flags.add_int("sim-threads", 0,
-                "LP workers inside each campaign's simulation (0 = IXP_SIM_THREADS, "
-                "else 1)");
   flags.add_string("out", "BENCH_substrate.json", "--bench output JSON path (empty = stdout)");
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (default IXP_METRICS; empty = off)");
@@ -733,7 +714,6 @@ int cmd_gen(int argc, const char* const* argv) {
   analysis::FleetOptions fopt;
   fopt.jobs = static_cast<int>(flags.get_int("jobs"));
   fopt.campaign.round_interval = interval;
-  fopt.campaign.sim_threads = static_cast<int>(flags.get_int("sim-threads"));
   fopt.campaign.columnar = true;
   if (flags.get_bool("shard-plan") && !flags.get_bool("run")) {
     const int jobs = ThreadPool::resolve_jobs(fopt.jobs, vps.size());

@@ -5,7 +5,8 @@
 # enumerates every subcommand (the dispatch table is the single source, so
 # a new subcommand cannot be reachable-but-undocumented), unknown or
 # missing subcommands exit non-zero with usage on stderr, and every
-# subcommand answers --help with exit 0.
+# subcommand answers --help with exit 0.  `afixp bench --only` with an
+# unknown benchmark name fails the same way.
 #
 # usage: check_cli.sh <afixp_binary>
 set -u
@@ -43,6 +44,12 @@ echo "$unk_err" | grep -q "unknown command" ||
     err "'afixp frobnicate' does not report an unknown command"
 echo "$unk_err" | grep -q "usage:" ||
     err "'afixp frobnicate' prints no usage on stderr"
+
+# A benchmark name that no longer exists must not yield an empty record.
+"$afixp" bench --only frobnicate --out "" > /dev/null 2>&1 &&
+    err "'afixp bench --only frobnicate' exited zero"
+"$afixp" bench --only frobnicate --out "" 2>&1 >/dev/null | grep -q "unknown benchmark" ||
+    err "'afixp bench --only frobnicate' does not report an unknown benchmark"
 
 # --- 3. Every subcommand answers --help with exit 0 -----------------------
 for c in $subcommands; do

@@ -20,7 +20,7 @@ set -u
 
 src=${1:?usage: check_coverage.sh <source_dir> [build_dir]}
 build=${2:-$src/build-coverage}
-suites=${IXP_COVERAGE_SUITES:-test_sim test_parallel_sim test_tslp test_faults test_serve}
+suites=${IXP_COVERAGE_SUITES:-test_sim test_tslp test_faults test_serve}
 floor=${IXP_COVERAGE_FLOOR:-80}
 
 if ! command -v gcov > /dev/null 2>&1; then

@@ -26,6 +26,13 @@ err() {
     echo "check_docs: $*" | tee -a "$errors" >&2
 }
 
+# Every committed bench record names the CPU count of the host that
+# produced it, as a positive integer top-level host_cpus.
+require_host_cpus() {
+    grep -qE '^  "host_cpus": [1-9][0-9]*,?$' "$1" ||
+        err "$(basename "$1") does not carry a positive integer host_cpus (the recording host's CPU count)"
+}
+
 [ -r "$readme" ] || { err "cannot read $readme"; exit 1; }
 [ -x "$afixp" ] || { err "cannot execute $afixp"; exit 1; }
 
@@ -143,9 +150,17 @@ fi
 # --- 8. BENCH_substrate.json fields: record <-> docs/SCALING.md -----------
 # The committed record at the repo root is the reference continent-scale
 # run; SCALING.md documents every field of the afixp-bench-substrate/1
-# schema, and documents no ghost fields.
+# schema, and documents no ghost fields.  The record (and the committed
+# afixp-bench-sim/3 BENCH_sim.json) must carry host_cpus.
 sub_record="$src/BENCH_substrate.json"
 [ -r "$sub_record" ] || err "BENCH_substrate.json does not exist at the repo root"
+[ -r "$sub_record" ] && require_host_cpus "$sub_record"
+sim_record="$src/BENCH_sim.json"
+if [ -r "$sim_record" ]; then
+    require_host_cpus "$sim_record"
+else
+    err "BENCH_sim.json does not exist at the repo root"
+fi
 if [ -r "$scaling" ] && [ -r "$sub_record" ]; then
     record_fields=$(grep -oE '^  "[a-z_]+"' "$sub_record" | tr -d ' "' | sort -u)
     [ -n "$record_fields" ] || err "no fields found in $sub_record"
@@ -166,7 +181,8 @@ fi
 # The committed record at the repo root is the reference TSLP-engine run;
 # the "TSLP fast path" section of ARCHITECTURE.md documents every field of
 # the afixp-bench-tslp/1 schema (including the nested engine-entry fields),
-# and documents no ghost fields.  The record must carry host_cpus.
+# and documents no ghost fields.  The record must carry host_cpus and the
+# interleaved per-pair ratios both speedups are the median of.
 arch="$src/docs/ARCHITECTURE.md"
 tslp_record="$src/BENCH_tslp.json"
 [ -r "$tslp_record" ] || err "BENCH_tslp.json does not exist at the repo root"
@@ -174,8 +190,11 @@ if [ -r "$arch" ] && [ -r "$tslp_record" ]; then
     tslp_fields=$(grep -oE '"[a-z_]+":' "$tslp_record" | tr -d '":' | sort -u)
     [ -n "$tslp_fields" ] || err "no fields found in $tslp_record"
     # A speed record says which host it was measured on.
-    echo "$tslp_fields" | grep -qx host_cpus ||
-        err "BENCH_tslp.json does not carry host_cpus (the recording host's CPU count)"
+    require_host_cpus "$tslp_record"
+    for f in speedup_batch_pairs speedup_online_pairs; do
+        echo "$tslp_fields" | grep -qx "$f" ||
+            err "BENCH_tslp.json does not carry $f (the per-pair speedup ratios)"
+    done
     tslp_section=$(sed -n '/^## The TSLP fast path/,/^## The continent-scale substrate/p' "$arch")
     [ -n "$tslp_section" ] || err "docs/ARCHITECTURE.md has no 'TSLP fast path' section"
     for f in $tslp_fields; do

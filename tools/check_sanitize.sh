@@ -7,14 +7,13 @@
 #                      runs the statistics-path gtest suites with
 #                      halt-on-error ASan/UBSan settings.
 #   thread             -DIXP_SANITIZE=thread -DIXP_PARANOID=ON; runs the
-#                      suites that exercise real threads (the LP scheduler,
-#                      the fleet pool, the serving layer's snapshot
-#                      publish/pin path, and the process-wide bootstrap
-#                      table in src/stats) under TSan, so a data race in
-#                      the barrier-window exchange, the counter-shadow
-#                      merge, the epoch swap, or a table publish fails CI
-#                      instead of silently corrupting a "byte-identical"
-#                      run.
+#                      suites that exercise real threads (the fleet pool,
+#                      the serving layer's snapshot publish/pin path, and
+#                      the process-wide bootstrap table in src/stats)
+#                      under TSan, so a data race in the fleet's result
+#                      hand-off, the epoch swap, or a table publish fails
+#                      CI instead of silently corrupting a
+#                      "byte-identical" run.
 #
 # Each mode configures its own build tree (reused across runs, so only the
 # first invocation pays the full compile).
@@ -34,7 +33,7 @@ mode=${IXP_SANITIZE:-address}
 case "$mode" in
     thread)
         build=${2:-$src/build-sanitize-thread}
-        suites=${IXP_SANITIZE_SUITES:-test_parallel_sim test_fleet test_serve test_stats}
+        suites=${IXP_SANITIZE_SUITES:-test_fleet test_serve test_stats}
         probe_flags="-fsanitize=thread"
         cmake_sanitize="thread"
         ;;
