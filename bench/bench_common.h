@@ -11,6 +11,7 @@
 #pragma once
 
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "analysis/africa.h"
@@ -66,15 +67,17 @@ inline analysis::FleetResult run_fleet_vps(const std::vector<analysis::VpSpec>& 
   return fleet;
 }
 
-/// First series whose far AS matches (and, optionally, whose IXP flag).
-inline const tslp::LinkSeries* find_series(const analysis::VpCampaignResult& r, topo::Asn far_asn,
-                                           int want_at_ixp = -1) {
-  for (const auto& s : r.series) {
+/// First link whose far AS matches (and, optionally, whose IXP flag),
+/// decoded.
+inline std::optional<tslp::LinkSeries> find_series(const analysis::VpCampaignResult& r,
+                                                   topo::Asn far_asn, int want_at_ixp = -1) {
+  for (std::size_t i = 0; i < r.series.size(); ++i) {
+    const auto& s = r.series[i];
     if (s.far_asn != far_asn) continue;
     if (want_at_ixp >= 0 && s.at_ixp != (want_at_ixp != 0)) continue;
-    return &s;
+    return r.decode_link(i);
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 /// Renders a near/far RTT figure: ASCII to stdout plus CSV rows.

@@ -19,8 +19,8 @@ int main() {
   // Campaign covering phase 1 with margin.
   auto result = bench::run_vp(spec, date(1, 7, 2016) - spec.campaign_start, kMinute * 10);
 
-  const auto* link = bench::find_series(result, 29614, /*want_at_ixp=*/0);
-  if (link == nullptr) {
+  const auto link = bench::find_series(result, 29614, /*want_at_ixp=*/0);
+  if (!link) {
     std::cerr << "GHANATEL ptp link not monitored -- bdrmap failure\n";
     return 1;
   }

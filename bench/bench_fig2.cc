@@ -21,8 +21,8 @@ int main() {
   const auto spec = analysis::make_fig_ghanatel();
   auto result = bench::run_vp(spec, date(10, 8, 2016) - spec.campaign_start, kMinute * 10);
 
-  const auto* link = bench::find_series(result, 29614, /*want_at_ixp=*/1);
-  if (link == nullptr) {
+  const auto link = bench::find_series(result, 29614, /*want_at_ixp=*/1);
+  if (!link) {
     std::cerr << "GHANATEL LAN link not monitored -- bdrmap failure\n";
     return 1;
   }

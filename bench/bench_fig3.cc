@@ -23,8 +23,8 @@ int main() {
   const auto spec = analysis::make_fig_knet();
   auto result = bench::run_vp(spec, Duration(0), kMinute * 5);
 
-  const auto* link = bench::find_series(result, 33786);
-  if (link == nullptr) {
+  const auto link = bench::find_series(result, 33786);
+  if (!link) {
     std::cerr << "KNET link not monitored -- bdrmap failure\n";
     return 1;
   }

@@ -21,8 +21,8 @@ int main() {
       bench::fast_mode() ? date(1, 6, 2016) - spec.campaign_start : Duration(0);
   auto result = bench::run_vp(spec, duration, kMinute * 10);
 
-  const auto* link = bench::find_series(result, 65400);
-  if (link == nullptr) {
+  const auto link = bench::find_series(result, 65400);
+  if (!link) {
     std::cerr << "NETPAGE link not monitored -- bdrmap failure\n";
     return 1;
   }

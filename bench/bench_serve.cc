@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
       std::cerr << "bench_serve: " << e.what() << "\n";
       return 1;
     }
-    sopt.campaign.columnar = true;  // the substrate default (docs/SCALING.md)
   }
   sopt.campaign.round_interval = kMinute * 30;
   if (flags.get_int("days") > 0) {

@@ -1,10 +1,9 @@
 // Continent-scale substrate benchmark.
 //
 // Generates a substrate from a topology-spec preset (src/topo/gen.h), runs
-// every generated campaign through the fleet with the columnar series
-// store engaged, and writes BENCH_substrate.json: links simulated per
-// second and resident bytes per monitored link are the two numbers
-// docs/SCALING.md sizes campaigns with.  `afixp gen --bench` is the same
+// every generated campaign through the fleet, and writes
+// BENCH_substrate.json: links simulated per second and resident bytes per
+// monitored link are the two numbers docs/SCALING.md sizes campaigns with.  `afixp gen --bench` is the same
 // harness behind the CLI; tools/check_bench.sh runs the smoke size from
 // CTest and validates the JSON.
 //

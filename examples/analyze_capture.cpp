@@ -57,7 +57,9 @@ bool make_demo_capture(const std::string& path) {
   opt.round_interval = kMinute * 10;
   const auto result = analysis::run_campaign(*rt, s, opt);
   prober::WartsLiteFile file;
-  file.links = result.series;
+  for (std::size_t i = 0; i < result.series.size(); ++i) {
+    file.links.push_back(result.decode_link(i));
+  }
   std::ofstream out(path, std::ios::binary);
   return prober::write_warts_lite(out, file);
 }

@@ -11,6 +11,7 @@
 //
 // Usage: ./build/examples/congestion_postmortem
 #include <iostream>
+#include <optional>
 
 #include "analysis/africa.h"
 #include "analysis/campaign.h"
@@ -33,9 +34,10 @@ int main() {
   opt.round_interval = kMinute * 10;
   opt.duration_override = date(20, 6, 2016) - spec.campaign_start;
   const auto result = analysis::run_campaign(*world, spec, opt);
-  const tslp::LinkSeries* link = nullptr;
-  for (const auto& s : result.series) {
-    if (s.far_asn == 29614 && !s.at_ixp) link = &s;
+  std::optional<tslp::LinkSeries> link;
+  for (std::size_t i = 0; i < result.series.size(); ++i) {
+    const auto& s = result.series[i];
+    if (s.far_asn == 29614 && !s.at_ixp) link = result.decode_link(i);
   }
   if (!link) {
     std::cerr << "link not discovered\n";

@@ -66,7 +66,9 @@ int main(int argc, char** argv) {
 
   // Persist + re-read the capture.
   prober::WartsLiteFile file;
-  file.links = result.series;
+  for (std::size_t i = 0; i < result.series.size(); ++i) {
+    file.links.push_back(result.decode_link(i));
+  }
   {
     std::ofstream out(path, std::ios::binary);
     if (!prober::write_warts_lite(out, file)) {

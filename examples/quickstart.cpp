@@ -86,7 +86,7 @@ int main() {
   // ---- 4. Plot the congested link -----------------------------------------
   for (std::size_t i = 0; i < result.series.size(); ++i) {
     if (!result.reports[i].congested()) continue;
-    const auto& link = result.series[i];
+    const auto link = result.decode_link(i);
     AsciiChartOptions chart;
     chart.y_label = "RTT [ms] (two weeks, " + link.key + ")";
     std::cout << "\n"

@@ -355,8 +355,7 @@ SubstrateBenchReport run_substrate_benchmark(const topo::TopoSpec& spec_in,
   fopt.jobs = opt.jobs;
   fopt.campaign.round_interval = opt.round_interval;
   fopt.campaign.duration_override = opt.duration_override;
-  fopt.campaign.columnar = true;  // the whole point: bounded-RSS storage
-  fopt.collect_metrics = false;   // measure the instrumentation-free path
+  fopt.collect_metrics = false;  // measure the instrumentation-free path
   const auto fleet = run_fleet(vps, fopt);
 
   SubstrateBenchReport rep;
@@ -370,11 +369,9 @@ SubstrateBenchReport run_substrate_benchmark(const topo::TopoSpec& spec_in,
     rep.links += r.series.size();
     rep.rounds += r.rounds_completed;
     rep.probes += r.probes_sent;
-    if (r.columns != nullptr) {
-      rep.samples += r.columns->samples_total();
-      rep.resident_bytes += r.columns->resident_bytes();
-      rep.raw_bytes += r.columns->raw_bytes();
-    }
+    rep.samples += r.columns->samples_total();
+    rep.resident_bytes += r.columns->resident_bytes();
+    rep.raw_bytes += r.columns->raw_bytes();
   }
   // One link-round = one monitored link advanced one probing round; every
   // link-round stores one near and one far sample, so samples/2 counts

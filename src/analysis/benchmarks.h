@@ -78,10 +78,9 @@ void write_bench_json(std::ostream& out, const BenchReport& rep);
 // Substrate benchmark: the continent-scale acceptance workload.
 //
 // Generates a substrate from a topology-spec preset (topo/gen.h), runs the
-// whole fleet with the columnar series store engaged, and reports the two
-// numbers docs/SCALING.md sizes everything with: links simulated per
-// second (one monitored link advanced one probing round = one link-round)
-// and resident bytes per monitored link.  Entry points: `afixp gen
+// whole fleet, and reports the two numbers docs/SCALING.md sizes everything
+// with: links simulated per second (one monitored link advanced one probing
+// round = one link-round) and resident bytes per monitored link.  Entry points: `afixp gen
 // --bench` and bench/bench_substrate.cc; results are committed as
 // BENCH_substrate.json and linted by tools/check_bench.sh and
 // tools/check_docs.sh.
@@ -119,7 +118,7 @@ struct SubstrateBenchReport {
   int host_cpus = 0;                 ///< recording host's hardware concurrency
 };
 
-/// Generates the substrate, runs the fleet (columnar store on), and
+/// Generates the substrate, runs the fleet, and
 /// aggregates the report.  Throws std::runtime_error on an unknown preset.
 SubstrateBenchReport run_substrate_benchmark(const SubstrateBenchOptions& opt,
                                              std::ostream* log = nullptr);

@@ -5,7 +5,9 @@
 //   2. probe both ends of every monitored link every 5 minutes with TSLP,
 //      applying the world timeline (joins, departures, shut-offs, upgrades)
 //      as simulated time advances, re-running bdrmap after membership
-//      changes so newly-appeared links join the monitored set;
+//      changes so newly-appeared links join the monitored set; samples
+//      stream into the columnar store (series/columnar.h) and the online
+//      level-shift detectors (tslp/online.h) as segments complete;
 //   3. at each Table 2 snapshot date, record discovered/peering/neighbor/
 //      peer counts plus the congestion status of the current links;
 //   4. classify every monitored link's full series (level shifts at the
@@ -62,8 +64,7 @@ inline constexpr char kDetectorWindowsSkipped[] =
 inline constexpr char kFarRttMs[] = "afixp_tslp_far_rtt_ms";
 inline constexpr char kSegmentSpan[] = "afixp_campaign_segment_simtime";
 inline constexpr char kWindowSpan[] = "afixp_campaign_window_simtime";
-// Columnar series storage (published only when CampaignOptions::columnar
-// engages the store, so paper-path metric exports are unchanged).
+// Columnar series storage (series/columnar.h).
 inline constexpr char kSeriesResidentBytes[] = "afixp_series_resident_bytes";
 inline constexpr char kSeriesRawBytes[] = "afixp_series_raw_bytes";
 inline constexpr char kSeriesSamples[] = "afixp_series_samples_total";
@@ -126,33 +127,15 @@ struct CampaignOptions {
   std::function<void(const CampaignProgress&)> on_progress;
   /// Live-verdict observer for the serving layer (docs/SERVING.md):
   /// invoked on the campaign's own thread at every segment boundary with
-  /// the level shifts detected so far on every monitored link.  Requires
-  /// `online` (the incremental detectors are the only source of mid-run
-  /// shifts); never invoked otherwise.  Like on_progress, the callback
-  /// must not touch the runtime -- hand the batch off and return.
+  /// the level shifts detected so far on every monitored link (the online
+  /// detectors have already scanned every completed window).  Like
+  /// on_progress, the callback must not touch the runtime -- hand the
+  /// batch off and return.
   std::function<void(const LiveVerdictBatch&)> on_verdicts;
   /// Optional fault injector (not owned; keep it alive for the run).
   /// Obtain one from attach_fault_plan() so the timeline faults and the
   /// probe-level gates come from the same expanded plan.
   sim::FaultInjector* faults = nullptr;
-  /// Accumulate samples in the columnar store (series/columnar.h) instead
-  /// of raw per-link vectors: segments stream into delta-encoded columns
-  /// as they complete, snapshots and the final classification decode one
-  /// link at a time, and RSS stays bounded by the encoded size plus a
-  /// single decoded series.  The decoded samples are bit-identical to the
-  /// raw path, but VpCampaignResult::series then carries metadata only
-  /// (empty ms vectors) -- the samples live in VpCampaignResult::columns.
-  /// Off by default: the paper-scale path and its goldens are unchanged.
-  bool columnar = false;
-  /// Run level-shift detection *online*: one OnlineLevelShift pair per
-  /// monitored link consumes each segment's samples as rounds complete, so
-  /// the expensive rank-CUSUM window scans are already done when the
-  /// campaign ends and the final classification only replays the cheap
-  /// assembly tail (against the columnar store's decode buffer when
-  /// `columnar` is also set).  Reports are byte-identical to the offline
-  /// path -- the online detector is equivalence-pinned in test_tslp.cc --
-  /// and the snapshot-window classifications are unaffected.
-  bool online = false;
 };
 
 struct SnapshotResult {
@@ -172,12 +155,12 @@ struct SnapshotResult {
 struct VpCampaignResult {
   std::string vp_name;
   std::vector<SnapshotResult> snapshots;
-  /// One per monitored link.  With CampaignOptions::columnar the ms
-  /// vectors are empty (metadata only); decode from `columns` instead.
+  /// One per monitored link: metadata and responder_changes, with empty
+  /// sample vectors.  The samples live in `columns`; decode_link(i)
+  /// returns link i whole.
   std::vector<tslp::LinkSeries> series;
   std::vector<tslp::LinkReport> reports;  ///< classification of each series
-  /// Columnar sample store (null unless CampaignOptions::columnar); holds
-  /// the encoded near/far columns of every monitored link.
+  /// Encoded near/far columns of every monitored link.
   std::shared_ptr<series::SeriesStore> columns;
   std::uint64_t probes_sent = 0;          ///< Table 2's "total # traceroutes" role
   std::uint64_t probes_lost = 0;          ///< round probes sent but unanswered
@@ -196,6 +179,9 @@ struct VpCampaignResult {
   [[nodiscard]] std::size_t potentially_congested(double threshold_ms) const;
   /// Of those, links whose far side also shows a recurring diurnal pattern.
   [[nodiscard]] std::size_t with_diurnal(double threshold_ms) const;
+  /// Link `i` decoded from `columns`, with its metadata and
+  /// responder_changes.
+  [[nodiscard]] tslp::LinkSeries decode_link(std::size_t i) const;
   /// Links classified congested (diurnal far side, clean near side).
   [[nodiscard]] std::size_t congested() const;
 };

@@ -141,7 +141,8 @@ FamilyScore score_facilities(const std::vector<VpSpec>& specs,
     // Detection: one observation per monitored link, disrupted when its
     // far series went dark for kDisruptedGapRounds consecutive rounds.
     std::vector<FacilityObservation> obs;
-    for (const auto& ls : result.series) {
+    for (std::size_t k = 0; k < result.series.size(); ++k) {
+      const tslp::LinkSeries ls = result.decode_link(k);
       FacilityObservation o;
       const auto it = facility_of.find(ls.far_asn);
       if (it != facility_of.end()) o.facility = it->second;

@@ -77,8 +77,7 @@ ChaosScore score_chaos(const std::vector<VpSpec>& specs,
 /// The realized windows are reconstructed by re-expanding `plan` with the
 /// same per-VP seed derivation the fleet uses (`fault_seed` must match
 /// FleetOptions::fault_seed, `duration_override` the campaign's), so the
-/// oracle needs no side channel out of the workers.  Requires raw series
-/// (far_rtt.ms populated); columnar campaigns score zero detections.
+/// oracle needs no side channel out of the workers.
 FamilyScore score_facilities(const std::vector<VpSpec>& specs,
                              const std::vector<VpCampaignResult>& results,
                              const FaultPlan& plan,

@@ -116,9 +116,10 @@ void write_report(std::ostream& out, const VpSpec& spec, const VpCampaignResult&
       AsciiChartOptions chart;
       chart.width = 100;
       chart.height = 12;
+      const tslp::LinkSeries decoded = result.decode_link(i);
       out << "\n```\n"
-          << render_ascii_chart({{"far", '*', link.far_rtt.ms}, {"near", '.', link.near_rtt.ms}},
-                                chart)
+          << render_ascii_chart(
+                 {{"far", '*', decoded.far_rtt.ms}, {"near", '.', decoded.near_rtt.ms}}, chart)
           << "```\n";
     }
     out << "\n";
@@ -131,7 +132,7 @@ void write_report(std::ostream& out, const VpSpec& spec, const VpCampaignResult&
     for (std::size_t i = 0; i < result.series.size(); ++i) {
       const auto& link = result.series[i];
       out << "| " << link.key << " | " << (link.at_ixp ? "yes" : "no") << " | "
-          << strformat("%.1f%%", 100.0 * link.far_rtt.loss_fraction()) << " | "
+          << strformat("%.1f%%", 100.0 * result.decode_link(i).far_rtt.loss_fraction()) << " | "
           << verdict_name(result.reports[i].verdict) << " |\n";
     }
     out << "\n";

@@ -73,26 +73,9 @@ std::size_t varint_size(std::uint64_t v) {
 
 }  // namespace
 
-void StreamStats::add(double v) {
-  ++samples;
-  if (std::isnan(v)) return;
-  if (finite == 0) {
-    min = v;
-    max = v;
-  } else {
-    min = std::min(min, v);
-    max = std::max(max, v);
-  }
-  ++finite;
-  const double delta = v - mean;
-  mean += delta / static_cast<double>(finite);
-  m2 += delta * (v - mean);
-}
-
 void Column::append(std::span<const double> values) {
   for (const double v : values) {
     ++samples;
-    stats.add(v);
     if (std::isnan(v)) {
       ++open_gap;
       continue;
@@ -177,10 +160,6 @@ std::size_t SeriesStore::add_link(LinkMeta meta, std::uint64_t lead_missing) {
     back.far.samples = lead_missing;
     back.near.open_gap = lead_missing;
     back.far.open_gap = lead_missing;
-    for (std::uint64_t k = 0; k < lead_missing; ++k) {
-      back.near.stats.add(tslp::kMissing);
-      back.far.stats.add(tslp::kMissing);
-    }
   }
   return links_.size() - 1;
 }
@@ -197,32 +176,31 @@ void SeriesStore::pad_to(std::size_t i, std::uint64_t rounds) {
   IXP_CHECK(i < links_.size(), "SeriesStore::pad_to: bad link index");
   Entry& e = links_[i];
   IXP_CHECK(e.near.samples <= rounds, "SeriesStore::pad_to: link already past target");
-  while (e.near.samples < rounds) {
-    ++e.near.samples;
-    ++e.near.open_gap;
-    e.near.stats.add(tslp::kMissing);
-    ++e.far.samples;
-    ++e.far.open_gap;
-    e.far.stats.add(tslp::kMissing);
+  const std::uint64_t pad = rounds - e.near.samples;
+  for (Column* c : {&e.near, &e.far}) {
+    c->samples += pad;
+    c->open_gap += pad;
   }
 }
 
-tslp::LinkSeries SeriesStore::decode(std::size_t i) const {
-  IXP_CHECK(i < links_.size(), "SeriesStore::decode: bad link index");
-  const Entry& e = links_[i];
+tslp::LinkSeries SeriesStore::header(std::size_t i) const {
+  IXP_CHECK(i < links_.size(), "SeriesStore::header: bad link index");
+  const LinkMeta& m = links_[i].meta;
   tslp::LinkSeries ls;
-  ls.key = e.meta.key;
-  ls.near_ip = e.meta.near_ip;
-  ls.far_ip = e.meta.far_ip;
-  ls.near_asn = e.meta.near_asn;
-  ls.far_asn = e.meta.far_asn;
-  ls.at_ixp = e.meta.at_ixp;
-  ls.near_rtt.start = start_;
-  ls.near_rtt.interval = interval_;
-  ls.near_rtt.ms = e.near.decode();
-  ls.far_rtt.start = start_;
-  ls.far_rtt.interval = interval_;
-  ls.far_rtt.ms = e.far.decode();
+  ls.key = m.key;
+  ls.near_ip = m.near_ip;
+  ls.far_ip = m.far_ip;
+  ls.near_asn = m.near_asn;
+  ls.far_asn = m.far_asn;
+  ls.at_ixp = m.at_ixp;
+  ls.near_rtt.start = ls.far_rtt.start = start_;
+  ls.near_rtt.interval = ls.far_rtt.interval = interval_;
+  return ls;
+}
+
+tslp::LinkSeries SeriesStore::decode(std::size_t i) const {
+  tslp::LinkSeries ls = header(i);
+  decode_into(i, ls.near_rtt.ms, ls.far_rtt.ms);
   return ls;
 }
 

@@ -1,7 +1,7 @@
-// Columnar storage for RTT time series: lossless delta/quantized encoding
-// plus single-pass streaming statistics, so a long-horizon many-link
-// campaign holds its sample history in a few percent of the raw
-// 8-bytes-per-sample footprint.
+// Columnar storage for RTT time series: lossless delta/quantized encoding,
+// so a long-horizon many-link campaign holds its sample history in a few
+// percent of the raw 8-bytes-per-sample footprint.  Every campaign stores
+// its samples here (analysis/campaign.h).
 //
 // Why this exists: the paper's substrate is 6 VPs and a few hundred links,
 // where `std::vector<double>` per link side is fine.  The continent-scale
@@ -43,30 +43,10 @@
 
 namespace ixp::series {
 
-/// Single-pass (Welford) summary of one column.  Missing samples count
-/// toward `samples` but not toward the moments.
-struct StreamStats {
-  std::uint64_t samples = 0;  ///< total appended, including missing
-  std::uint64_t finite = 0;   ///< samples carrying a measurement
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double m2 = 0.0;  ///< sum of squared deviations from the running mean
-
-  void add(double v);
-  [[nodiscard]] double variance() const {
-    return finite > 1 ? m2 / static_cast<double>(finite - 1) : 0.0;
-  }
-  [[nodiscard]] double coverage() const {
-    return samples > 0 ? static_cast<double>(finite) / static_cast<double>(samples) : 1.0;
-  }
-};
-
 /// One encoded column and the codec state needed to keep appending to it.
 struct Column {
   std::vector<std::uint8_t> bytes;  ///< token stream (see file header)
   std::uint64_t samples = 0;        ///< decoded length
-  StreamStats stats;
 
   // Streaming encoder state.
   std::int64_t prev_q = 0;    ///< last quantized value (integer nanoseconds)
@@ -100,8 +80,7 @@ struct LinkMeta {
 /// All links are kept at the same decoded length: a link discovered
 /// mid-campaign is added with a leading gap, and `pad_to` advances
 /// stragglers (links probed in no segment of a window) with missing
-/// samples, mirroring what the in-memory campaign path does with
-/// explicit kMissing entries.
+/// samples.
 class SeriesStore {
  public:
   SeriesStore() = default;
@@ -117,8 +96,11 @@ class SeriesStore {
   /// Extends link `i` with missing samples up to `rounds` total.
   void pad_to(std::size_t i, std::uint64_t rounds);
 
-  /// Decodes link `i` into a LinkSeries identical to what the raw
-  /// in-memory path would have accumulated.
+  /// Link `i`'s identity and time base as a LinkSeries with empty sample
+  /// vectors; decode_into fills them.
+  [[nodiscard]] tslp::LinkSeries header(std::size_t i) const;
+
+  /// Decodes link `i` into a LinkSeries holding every appended sample.
   [[nodiscard]] tslp::LinkSeries decode(std::size_t i) const;
 
   /// Decodes link `i`'s two columns into reusable buffers (bit-exact, like
@@ -129,8 +111,6 @@ class SeriesStore {
   [[nodiscard]] std::size_t size() const { return links_.size(); }
   [[nodiscard]] const LinkMeta& meta(std::size_t i) const { return links_[i].meta; }
   [[nodiscard]] std::uint64_t samples(std::size_t i) const { return links_[i].near.samples; }
-  [[nodiscard]] const StreamStats& near_stats(std::size_t i) const { return links_[i].near.stats; }
-  [[nodiscard]] const StreamStats& far_stats(std::size_t i) const { return links_[i].far.stats; }
   [[nodiscard]] TimePoint start() const { return start_; }
   [[nodiscard]] Duration interval() const { return interval_; }
 

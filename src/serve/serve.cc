@@ -100,7 +100,6 @@ void ServeDaemon::run_pass(std::uint64_t pass) {
   builder_.begin_pass(pass);
   analysis::FleetOptions fopt;
   fopt.campaign = opt_.campaign;
-  fopt.campaign.online = true;  // live verdicts need the incremental detectors
   fopt.campaign.on_verdicts = [this](const analysis::LiveVerdictBatch& b) {
     builder_.fold_live(b.vp_name, b.ixp, b);
     publish_epoch(/*final_pass=*/false);

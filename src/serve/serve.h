@@ -42,8 +42,7 @@ namespace ixp::serve {
 struct ServeOptions {
   /// Campaigns to drive, one fleet pass at a time (spec order preserved).
   std::vector<analysis::VpSpec> specs;
-  /// Per-campaign options.  `online` is forced on (live verdicts need the
-  /// incremental detectors); on_progress/on_verdicts/metrics are owned by
+  /// Per-campaign options.  on_progress/on_verdicts/metrics are owned by
   /// the daemon and must be left unset.
   analysis::CampaignOptions campaign;
   int jobs = 0;  ///< fleet worker budget (0 = IXP_JOBS, else hardware)

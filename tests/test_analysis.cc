@@ -212,7 +212,9 @@ TEST(Campaign, RecordRouteTotalsRespectFiltering) {
   EXPECT_EQ(filtered.record_routes, 0u);
   // RTT probing itself is unaffected by RR filtering.
   ASSERT_FALSE(filtered.series.empty());
-  EXPECT_LT(filtered.series[0].far_rtt.loss_fraction(), 0.2);
+  const auto first = filtered.decode_link(0);
+  ASSERT_FALSE(first.far_rtt.ms.empty());
+  EXPECT_LT(first.far_rtt.loss_fraction(), 0.2);
 
   auto open_spec = make(false);
   auto open_rt = build_scenario(open_spec);

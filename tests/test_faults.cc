@@ -14,6 +14,8 @@
 
 #include "analysis/africa.h"
 #include "analysis/campaign.h"
+#include "analysis/chaos.h"
+#include "analysis/fleet.h"
 #include "analysis/substrate.h"
 #include "sim/faults.h"
 #include "topo/calendar.h"
@@ -299,13 +301,17 @@ TEST(FaultCampaign, PlanPlusSeedReplaysByteIdentically) {
   EXPECT_EQ(a.stale_relearns, b.stale_relearns);
   EXPECT_EQ(a.loss_relearns, b.loss_relearns);
   ASSERT_EQ(a.series.size(), b.series.size());
+  std::size_t examined = 0;
   for (std::size_t i = 0; i < a.series.size(); ++i) {
-    EXPECT_EQ(a.series[i].key, b.series[i].key);
-    EXPECT_TRUE(bitwise_equal(a.series[i].near_rtt.ms, b.series[i].near_rtt.ms))
-        << a.series[i].key;
-    EXPECT_TRUE(bitwise_equal(a.series[i].far_rtt.ms, b.series[i].far_rtt.ms))
-        << a.series[i].key;
+    const auto la = a.decode_link(i);
+    const auto lb = b.decode_link(i);
+    EXPECT_EQ(la.key, lb.key);
+    EXPECT_TRUE(bitwise_equal(la.near_rtt.ms, lb.near_rtt.ms)) << la.key;
+    EXPECT_TRUE(bitwise_equal(la.far_rtt.ms, lb.far_rtt.ms)) << la.key;
+    EXPECT_EQ(la.responder_changes, lb.responder_changes) << la.key;
+    examined += la.far_rtt.ms.empty() ? 0 : 1;
   }
+  EXPECT_GE(examined, 1u);
 }
 
 TEST(FaultCampaign, RerouteGoesStaleThenRecovers) {
@@ -322,8 +328,8 @@ TEST(FaultCampaign, RerouteGoesStaleThenRecovers) {
   // direct path after the detour is withdrawn (day 13 of 30).
   bool checked = false;
   for (std::size_t i = 0; i < result.series.size(); ++i) {
-    const auto& ls = result.series[i];
-    if (ls.far_asn != 65103u) continue;
+    if (result.series[i].far_asn != 65103u) continue;
+    const auto ls = result.decode_link(i);
     checked = true;
     const std::size_t per_day = 48;  // 30-minute rounds
     ASSERT_GE(ls.far_rtt.ms.size(), per_day * 30);
@@ -366,14 +372,18 @@ TEST(FaultCampaign, FacilityOutageDropsEveryHomedLinkAndReplays) {
   const std::size_t gap_b = per_day * 8 + 2;
   const std::size_t gap_e = per_day * 8 + 70;  // 36 h minus slack
   std::set<std::uint32_t> dark_asns;
-  for (const auto& ls : a.series) {
+  std::size_t examined = 0;
+  for (std::size_t i = 0; i < a.series.size(); ++i) {
+    const auto ls = a.decode_link(i);
     if (ls.far_rtt.ms.size() < per_day * 12) continue;
+    ++examined;
     bool all_nan = true;
     for (std::size_t k = gap_b; k < gap_e && all_nan; ++k) {
       all_nan = std::isnan(ls.far_rtt.ms[k]);
     }
     if (all_nan) dark_asns.insert(ls.far_asn);
   }
+  ASSERT_GE(examined, 1u);
   ASSERT_FALSE(dark_asns.empty());
   // The dark members are exactly one facility's membership.
   std::set<std::string> dark_facilities;
@@ -394,9 +404,33 @@ TEST(FaultCampaign, FacilityOutageDropsEveryHomedLinkAndReplays) {
   EXPECT_EQ(a.fault_events, b.fault_events);
   ASSERT_EQ(a.series.size(), b.series.size());
   for (std::size_t i = 0; i < a.series.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(a.series[i].far_rtt.ms, b.series[i].far_rtt.ms))
+    EXPECT_TRUE(bitwise_equal(a.decode_link(i).far_rtt.ms, b.decode_link(i).far_rtt.ms))
         << a.series[i].key;
   }
+}
+
+TEST(FaultCampaign, FacilityScoringFlagsOnlyTheFaultedFacility) {
+  // `afixp chaos --plan facility` end to end: the registry plan on its own
+  // substrate, through the fleet, scored per facility from the decoded far
+  // series.  The detector must flag the faulted facility and neither of
+  // the other two (EXPERIMENTS.md: TP=1 FP=0 FN=0 TN=2).
+  const ScenarioPlan* plan = find_plan("facility");
+  ASSERT_NE(plan, nullptr);
+  const auto specs = analysis::generate_substrate(*topo::topo_spec_preset(plan->substrate));
+  ASSERT_FALSE(specs.empty());
+  analysis::FleetOptions fopt;
+  fopt.campaign.round_interval = kMinute * 30;
+  fopt.jobs = 2;
+  fopt.fault_plan = &plan->faults;
+  fopt.fault_seed = 1;
+  const auto fleet = analysis::run_fleet(specs, fopt);
+  const analysis::FamilyScore score =
+      analysis::score_facilities(specs, fleet.results, plan->faults, fopt.fault_seed);
+  EXPECT_EQ(score.family, "facility-detector");
+  EXPECT_EQ(score.tp, 1u);
+  EXPECT_EQ(score.fp, 0u);
+  EXPECT_EQ(score.fn, 0u);
+  EXPECT_EQ(score.tn, 2u);
 }
 
 TEST(FaultCampaign, VpOutagePunchesAllNanGap) {
@@ -409,13 +443,17 @@ TEST(FaultCampaign, VpOutagePunchesAllNanGap) {
   EXPECT_EQ(result.outage_rounds, 96u);  // 2 days of 30-minute rounds
   EXPECT_EQ(result.fault_events, 0u);    // outages never touch the topology
   const std::size_t per_day = 48;
-  for (const auto& ls : result.series) {
+  std::size_t examined = 0;
+  for (std::size_t i = 0; i < result.series.size(); ++i) {
+    const auto ls = result.decode_link(i);
     if (ls.far_rtt.ms.size() < per_day * 10) continue;
+    ++examined;
     for (std::size_t k = per_day * 3; k < per_day * 5; ++k) {
       ASSERT_TRUE(std::isnan(ls.far_rtt.ms[k])) << ls.key << " sample " << k;
       ASSERT_TRUE(std::isnan(ls.near_rtt.ms[k])) << ls.key << " sample " << k;
     }
   }
+  EXPECT_GE(examined, 1u);
 }
 
 }  // namespace

@@ -341,9 +341,9 @@ TEST(Fleet, SerialFleetFinishesCampaignsInPlanOrder) {
 }
 
 TEST(Fleet, GeneratedSubstrateByteIdenticalAcrossJobCounts) {
-  // The continent-scale path: a generated substrate run with the columnar
-  // store engaged must produce bit-identical decoded series for any job
-  // count, even though the shard plan changes with --jobs.
+  // The continent-scale path: a generated substrate must produce
+  // bit-identical decoded series for any job count, even though the shard
+  // plan changes with --jobs.
   auto spec = *topo::topo_spec_preset("regional50");
   spec.ixps = 5;
   spec.days = 2;
@@ -355,7 +355,6 @@ TEST(Fleet, GeneratedSubstrateByteIdenticalAcrossJobCounts) {
   for (const int jobs : {1, 2, 3, 7}) {
     FleetOptions fopt;
     fopt.campaign.round_interval = kMinute * 30;
-    fopt.campaign.columnar = true;
     fopt.jobs = jobs;
     const auto fleet = run_fleet(vps, fopt);
     // More jobs than campaigns clamp to one worker per campaign.

@@ -164,42 +164,6 @@ TEST(Columnar, CompressesTypicalRtts) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming statistics
-
-TEST(StreamStats, MatchesDirectComputation) {
-  Rng rng(5);
-  std::vector<double> v;
-  for (int i = 0; i < 10000; ++i) {
-    v.push_back(rng.chance(0.1) ? tslp::kMissing : rng.uniform(2.0, 50.0));
-  }
-  StreamStats st;
-  for (const double x : v) st.add(x);
-
-  std::uint64_t finite = 0;
-  double sum = 0.0, mn = 1e300, mx = -1e300;
-  for (const double x : v) {
-    if (std::isnan(x)) continue;
-    ++finite;
-    sum += x;
-    mn = std::min(mn, x);
-    mx = std::max(mx, x);
-  }
-  const double mean = sum / static_cast<double>(finite);
-  double m2 = 0.0;
-  for (const double x : v) {
-    if (!std::isnan(x)) m2 += (x - mean) * (x - mean);
-  }
-  EXPECT_EQ(st.samples, v.size());
-  EXPECT_EQ(st.finite, finite);
-  EXPECT_DOUBLE_EQ(st.min, mn);
-  EXPECT_DOUBLE_EQ(st.max, mx);
-  EXPECT_NEAR(st.mean, mean, 1e-9);
-  EXPECT_NEAR(st.variance(), m2 / static_cast<double>(finite - 1), 1e-6);
-  EXPECT_NEAR(st.coverage(), static_cast<double>(finite) / static_cast<double>(v.size()),
-              1e-12);
-}
-
-// ---------------------------------------------------------------------------
 // SeriesStore
 
 TEST(SeriesStore, DecodeMirrorsRawAccumulation) {
@@ -248,7 +212,7 @@ TEST(SeriesStore, LateLinkGetsLeadingGap) {
   EXPECT_DOUBLE_EQ(ls.near_rtt.ms[3], 7.0);
   EXPECT_DOUBLE_EQ(ls.far_rtt.ms[3], 8.0);
   // The lead gap counts toward coverage, like explicit kMissing would.
-  EXPECT_NEAR(store.near_stats(b).coverage(), 0.25, 1e-12);
+  EXPECT_NEAR(ls.near_rtt.coverage(), 0.25, 1e-12);
 }
 
 TEST(SeriesStore, PadToAdvancesStragglers) {

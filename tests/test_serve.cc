@@ -39,9 +39,10 @@ using namespace ixp;
 using namespace ixp::net;
 using namespace ixp::serve;
 
-// Sanitizer builds run the heavy end-to-end cases in the 6-week fast
-// window (equality assertions are unchanged; only the calendar shrinks).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// Sanitizer and coverage (-O0) builds run the heavy end-to-end cases in
+// the 6-week fast window (equality assertions are unchanged; only the
+// calendar shrinks).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || defined(IXP_COVERAGE_BUILD)
 constexpr int kChaosDays = 42;
 #else
 constexpr int kChaosDays = 0;  // full calendar
@@ -619,7 +620,7 @@ TEST(ServeDaemon, ChaosUnderLoadReproducesTheBatchOracle) {
   const FaultPlan* plan = &splan->faults;
   const Duration window = kChaosDays > 0 ? kDay * kChaosDays : Duration(0);
 
-  // Batch oracle: what `afixp chaos` runs (offline detection path).
+  // Batch oracle: what `afixp chaos` runs (no live-verdict observer).
   analysis::FleetOptions batch;
   batch.campaign.round_interval = kMinute * 30;
   batch.campaign.duration_override = window;

@@ -714,6 +714,27 @@ TEST(Network, IcmpRateLimiting) {
   EXPECT_GE(answered, 1);
 }
 
+TEST(Network, IcmpLoadSlowsGeneration) {
+  // A router whose ICMP slow path is loaded (the GIXA-KNET slow-ICMP
+  // hypothesis) answers later by icmp_load_extra * load, load clamped to
+  // [0, 1].
+  auto rtt_ms = [](double load) {
+    TestNet t;
+    auto& r1 = dynamic_cast<Router&>(t.net.node(t.r1));
+    r1.mutable_config().icmp_jitter = Duration(0);
+    if (load >= 0) {
+      r1.mutable_config().icmp_load = std::make_shared<ConstantProfile>(load);
+      r1.mutable_config().icmp_load_extra = milliseconds(40);
+    }
+    const auto res = t.net.probe(t.host, t.probe(net::Ipv4Address(10, 0, 2, 1), 1));
+    EXPECT_TRUE(res.answered);
+    return to_ms(res.rtt);
+  };
+  const double base = rtt_ms(-1.0);
+  EXPECT_NEAR(rtt_ms(0.5) - base, 20.0, 1e-3);
+  EXPECT_NEAR(rtt_ms(3.0) - base, 40.0, 1e-3);
+}
+
 TEST(Network, DownLinkDropsTraffic) {
   TestNet t;
   t.net.link(1).set_up(false);  // core link
@@ -1429,8 +1450,12 @@ TEST(TslpDriver, RelearnDropsPinsWhenRerouteMovesFarTtl) {
     SCOPED_TRACE(testing::Message() << "round " << r);
     ASSERT_EQ(std::isnan(slow[0].far_rtt.ms[r]), std::isnan(far[r]));
     ASSERT_EQ(std::isnan(slow[0].near_rtt.ms[r]), std::isnan(near[r]));
-    if (!std::isnan(far[r])) EXPECT_NEAR(slow[0].far_rtt.ms[r], far[r], 0.01);
-    if (!std::isnan(near[r])) EXPECT_NEAR(slow[0].near_rtt.ms[r], near[r], 0.01);
+    if (!std::isnan(far[r])) {
+      EXPECT_NEAR(slow[0].far_rtt.ms[r], far[r], 0.01);
+    }
+    if (!std::isnan(near[r])) {
+      EXPECT_NEAR(slow[0].near_rtt.ms[r], near[r], 0.01);
+    }
   }
 }
 

@@ -24,7 +24,7 @@
 //       under measurement pathologies; see EXPERIMENTS.md).
 //   afixp gen       [--spec continent100|file] [--run | --bench | --print]
 //       expand a declarative topology spec into a whole IXP substrate and
-//       (optionally) run the fleet over it with columnar RTT storage, or
+//       (optionally) run the fleet over it, or
 //       benchmark it into BENCH_substrate.json (see docs/SCALING.md).
 //   afixp serve     [--rounds N] [--port P] [--fault-plan default]
 //       run the always-on congestion observatory: fleet passes feed epoch
@@ -145,7 +145,9 @@ int cmd_campaign(int argc, const char* const* argv) {
   }
   if (const auto out = flags.get_string("out"); !out.empty()) {
     prober::WartsLiteFile file;
-    file.links = result.series;
+    for (std::size_t i = 0; i < result.series.size(); ++i) {
+      file.links.push_back(result.decode_link(i));
+    }
     std::ofstream f(out, std::ios::binary);
     if (!prober::write_warts_lite(f, file)) {
       std::cerr << "failed to write " << out << "\n";
@@ -512,7 +514,6 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("days", 0, "campaign length in days (0 = full; overrides --fast)");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
-  flags.add_bool("columnar", false, "columnar RTT storage (recommended for substrates)");
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
   flags.add_string("metrics-out", "",
                    "shutdown metrics flush path (default IXP_METRICS; empty = off)");
@@ -573,7 +574,6 @@ int cmd_serve(int argc, const char* const* argv) {
   } else if (flags.get_bool("fast")) {
     sopt.campaign.duration_override = kDay * 42;
   }
-  sopt.campaign.columnar = flags.get_bool("columnar");
   sopt.jobs = static_cast<int>(flags.get_int("jobs"));
   sopt.port = static_cast<int>(flags.get_int("port"));
   sopt.http_threads = static_cast<int>(flags.get_int("http-threads"));
@@ -714,7 +714,6 @@ int cmd_gen(int argc, const char* const* argv) {
   analysis::FleetOptions fopt;
   fopt.jobs = static_cast<int>(flags.get_int("jobs"));
   fopt.campaign.round_interval = interval;
-  fopt.campaign.columnar = true;
   if (flags.get_bool("shard-plan") && !flags.get_bool("run")) {
     const int jobs = ThreadPool::resolve_jobs(fopt.jobs, vps.size());
     std::cout << analysis::plan_shards(vps, jobs, fopt.campaign).to_string(vps);
@@ -734,10 +733,8 @@ int cmd_gen(int argc, const char* const* argv) {
   for (const auto& r : fleet.results) {
     links += r.series.size();
     congested += r.congested();
-    if (r.columns != nullptr) {
-      resident += r.columns->resident_bytes();
-      raw += r.columns->raw_bytes();
-    }
+    resident += r.columns->resident_bytes();
+    raw += r.columns->raw_bytes();
   }
   std::cout << strformat(
       "ran %zu campaigns: %llu monitored links, %llu congested; "
